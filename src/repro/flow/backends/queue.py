@@ -396,13 +396,16 @@ class QueueExecutor(SweepExecutor):
             "max_attempts": self.retry.max_attempts,
         }
         task_path = paths.tasks / f"{cid}.json"
-        write_json_atomic(task_path, sign_payload(body))
         state.resubmit_at = None
         plan = chaos.active_plan()
         if plan is not None and plan.decide(
             "corrupt-task", chaos.cell_label(state.task), state.attempt
         ):
+            # The garbage replaces the task outright: a valid task written
+            # first could be claimed before it is corrupted.
             chaos.corrupt_file(task_path)
+        else:
+            write_json_atomic(task_path, sign_payload(body))
 
     # ----------------------------------------------------------- consumption
     def _consume_result(

@@ -148,7 +148,17 @@ class ArtifactCache:
         return payload
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Store ``payload`` under ``key`` (atomic replace)."""
+        """Store ``payload`` under ``key`` (atomic replace); counts a write."""
+        self._store_local(key, payload)
+        self.writes += 1
+
+    def _store_local(self, key: str, payload: Mapping[str, Any]) -> None:
+        """Store ``payload`` under ``key`` without write accounting.
+
+        :class:`repro.flow.net.cache.RemoteCache` populates its local tier
+        through here: copying what a lookup just read is part of the read,
+        not a write.
+        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -162,7 +172,6 @@ class ArtifactCache:
             except OSError:  # repro: allow-swallowed-exception -- best-effort tmp cleanup while re-raising the original error
                 pass
             raise
-        self.writes += 1
         plan = chaos.active_plan()
         if plan is not None and plan.decide("corrupt-cache", key) is not None:
             # Chaos seam: corrupt the just-written artifact.  The recovery

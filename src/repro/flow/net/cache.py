@@ -3,9 +3,10 @@
 :class:`RemoteCache` is an :class:`~repro.flow.cache.ArtifactCache` whose
 local directory fronts the coordinator's content-addressed cache
 endpoints: a local miss falls through to ``GET /api/v1/cache/<key>``, a
-remote hit is stored locally (read-through populate) so the next lookup
-never leaves the host, and every write is pushed back with ``PUT`` so
-other workers and clients see it.
+remote hit is stored locally (read-through populate, counted as part of
+the read rather than as a write) so the next lookup never leaves the
+host, and every write is pushed back with ``PUT`` so other workers and
+clients see it.
 
 The failure posture is strictly *degrade to local*: the remote tier can
 only ever add hits.  A corrupt download (failed sha256 envelope, torn
@@ -80,10 +81,10 @@ class RemoteCache(ArtifactCache):
         if payload is not None:
             self.remote_hits += 1
             self.hits += 1
-            # Read-through populate: the next lookup is a local hit.  Uses
-            # the parent put() so the local tier's bound still applies,
-            # without re-uploading what the coordinator just served.
-            super().put(key, payload)
+            # Read-through populate: the next lookup is a local hit.  The
+            # local tier's bound still applies; nothing is re-uploaded, and
+            # the copy is part of this read, so it counts no write.
+            self._store_local(key, payload)
             return payload
         self.misses += 1
         return None
@@ -136,7 +137,7 @@ class RemoteCache(ArtifactCache):
                 continue
             payload = self._remote_get(key)
             if payload is not None:
-                super().put(key, payload)
+                self._store_local(key, payload)
                 fetched += 1
         return fetched
 

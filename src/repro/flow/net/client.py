@@ -99,7 +99,9 @@ class HttpExecutor(SweepExecutor):
             shipped = dict(task)
             # Workers resolve artifacts through the coordinator's shared
             # cache tier unless the task already names a different one.
-            if shipped.get("cache_dir") and not shipped.get("cache_url"):
+            # The URL ships even when the client has no cache: a worker's
+            # own --cache-dir then still reads and writes through it.
+            if not shipped.get("cache_url"):
                 shipped["cache_url"] = self.url
             payload_tasks.append(shipped)
         submission = {

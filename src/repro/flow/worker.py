@@ -309,13 +309,16 @@ def run_worker(
                      f"(attempt {attempt})")
                 continue
 
-            write_json_atomic(
-                paths.results / f"{cid}.json",
-                sign_payload({"cell": cid, "outcome": outcome}),
-            )
+            result_path = paths.results / f"{cid}.json"
             if plan is not None and plan.decide("corrupt-result", label, attempt):
-                chaos.corrupt_file(paths.results / f"{cid}.json")
+                # The garbage replaces the result outright: a valid result
+                # written first could be consumed before it is corrupted.
+                chaos.corrupt_file(result_path)
                 emit(f"[{wid}] {cid} chaos: corrupted result (attempt {attempt})")
+            else:
+                write_json_atomic(
+                    result_path, sign_payload({"cell": cid, "outcome": outcome})
+                )
             try:
                 claim_path.unlink()
             except OSError:  # repro: allow-swallowed-exception -- requeued and re-claimed elsewhere; results are idempotent

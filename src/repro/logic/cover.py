@@ -7,6 +7,12 @@ in the union of the cover's cubes for a given output?" — implemented with the
 classic recursive tautology check (Shannon expansion on the most binate
 variable with unate-cover termination).  Everything else (espresso-style
 expansion, irredundant covers, functional equivalence checks) builds on it.
+
+The tautology recursion runs on the cubes' raw ``inputs`` integers, with the
+width's ``FULL``/``LOW`` masks (:func:`~repro.logic.cube.input_masks`)
+computed once per check: containment, cofactoring and the "don't care on
+every free variable" test are single integer expressions, and the free
+variables travel as one ``LOW``-aligned mask.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .cube import Cube, CubeError, FULL_FIELD
+from .cube import Cube, CubeError, FULL_FIELD, ONE_FIELD, ZERO_FIELD, input_masks
 
-__all__ = ["Cover", "TautologyBudget", "BudgetExceeded"]
+__all__ = ["Cover", "TautologyBudget", "BudgetExceeded", "covers_inputs"]
 
 
 class BudgetExceeded(RuntimeError):
@@ -135,14 +141,22 @@ class Cover:
 
     def remove_single_cube_containment(self) -> "Cover":
         """Drop cubes wholly contained (inputs and outputs) in another cube."""
+        full = input_masks(self.num_inputs)[0]
         kept: List[Cube] = []
+        kept_parts: List[Tuple[int, int]] = []
         # Larger cubes first so that contained cubes are dropped in one pass.
         order = sorted(
             self._cubes, key=lambda c: (-c.minterm_count(), -c.output_count())
         )
         for cube in order:
-            if not any(other.contains(cube) for other in kept):
+            inputs = cube.inputs & full
+            outputs = cube.outputs
+            if not any(
+                k_in & inputs == inputs and outputs & ~k_out == 0
+                for k_in, k_out in kept_parts
+            ):
                 kept.append(cube)
+                kept_parts.append((inputs, outputs))
         return Cover(self.num_inputs, self.num_outputs, kept)
 
     # ----------------------------------------------------------- evaluation
@@ -154,19 +168,16 @@ class Cover:
         """
         if len(point) != self.num_inputs:
             raise CubeError("evaluation point has wrong width")
+        # The point as a minterm cube: a cube covers it when it holds the
+        # point's bit in every field.
+        minterm = 0
+        for var, bit in enumerate(point):
+            minterm |= (ONE_FIELD if bit else ZERO_FIELD) << (2 * var)
         outputs = 0
         for cube in self._cubes:
-            if self._cube_covers_point(cube, point):
+            if cube.inputs & minterm == minterm:
                 outputs |= cube.outputs
         return tuple((outputs >> o) & 1 for o in range(self.num_outputs))
-
-    @staticmethod
-    def _cube_covers_point(cube: Cube, point: Sequence[int]) -> bool:
-        for var, bit in enumerate(point):
-            field = cube.input_literal(var)
-            if not (field >> bit) & 1:
-                return False
-        return True
 
     # ---------------------------------------------------- tautology machinery
     def covers_cube(
@@ -179,11 +190,9 @@ class Cover:
 
         With a ``budget``, an exhausted check conservatively returns ``False``.
         """
-        relevant = [c for c in self.cubes_for_output(output)]
-        try:
-            return _cover_contains_cube(relevant, cube, self.num_inputs, budget)
-        except BudgetExceeded:
-            return False
+        mask = 1 << output
+        relevant = [c.inputs for c in self._cubes if c.outputs & mask]
+        return covers_inputs(relevant, cube.inputs, self.num_inputs, budget)
 
     def is_tautology(self, output: int) -> bool:
         """``True`` when the cover for ``output`` covers the whole input space."""
@@ -207,69 +216,92 @@ class Cover:
 
 # --------------------------------------------------------------------------
 # Recursive tautology check: does the union of `cubes` contain `target`?
+# Cubes are raw positional-cube input parts (``Cube.inputs``).
 # --------------------------------------------------------------------------
 
 
-def _cover_contains_cube(
-    cubes: List[Cube], target: Cube, num_inputs: int, budget: Optional[TautologyBudget]
+def covers_inputs(
+    cubes: Sequence[int],
+    target: int,
+    num_inputs: int,
+    budget: Optional[TautologyBudget] = None,
 ) -> bool:
+    """``True`` if the union of the input parts ``cubes`` contains ``target``.
+
+    With a ``budget``, an exhausted check conservatively returns ``False``.
+    """
+    try:
+        return _cover_contains_cube(cubes, target, num_inputs, budget)
+    except BudgetExceeded:
+        return False
+
+
+def _cover_contains_cube(
+    cubes: Sequence[int], target: int, num_inputs: int, budget: Optional[TautologyBudget]
+) -> bool:
+    full, low = input_masks(num_inputs)
+    target &= full
+    inters = [x & target for x in cubes]
     # Quick win: a single cube already contains the target.
-    for c in cubes:
-        if c.input_contains(target):
-            return True
+    if target in inters:
+        return True
     # Cofactor the cover against the target; the containment question becomes
-    # a tautology question on the cofactored cover.
-    cofactored: List[Cube] = []
-    for c in cubes:
-        cf = c.input_cofactor(target)
-        if cf is not None:
-            cofactored.append(cf)
-    free_vars = [v for v in range(num_inputs) if target.input_literal(v) == FULL_FIELD]
-    return _is_tautology(cofactored, free_vars, budget)
+    # a tautology question on the cofactored cover.  A cube that misses the
+    # target (some field of the intersection empty) drops out; one that meets
+    # it keeps its fields on the target's free variables and is a don't care
+    # on the others.
+    raise_mask = ~target & full
+    cofactored = [i | raise_mask for i in inters if (i | i >> 1) & low == low]
+    free = target & target >> 1 & low
+    return _is_tautology(cofactored, free, budget)
 
 
 def _is_tautology(
-    cubes: List[Cube], free_vars: List[int], budget: Optional[TautologyBudget]
+    cubes: List[int], free: int, budget: Optional[TautologyBudget]
 ) -> bool:
+    """Tautology of ``cubes`` over the variables marked in ``free``.
+
+    ``free`` is ``LOW``-aligned: the ``0b01`` bit of every free variable's
+    field.
+    """
     if budget is not None:
         budget.spend()
     if not cubes:
         return False
     # Any cube that is a don't care on every free variable covers the space.
-    for c in cubes:
-        if all(c.input_literal(v) == FULL_FIELD for v in free_vars):
+    free_mask = free * FULL_FIELD
+    for x in cubes:
+        if x & free_mask == free_mask:
             return True
-    if not free_vars:
+    if not free:
         return False
 
-    # Pick the most binate free variable (appears in both polarities most).
-    best_var = None
+    # Pick the most binate free variable (appears in both polarities most);
+    # ties go to the lowest variable index.
+    best_bit = 0
     best_score = -1
-    for v in free_vars:
-        zeros = ones = 0
-        for c in cubes:
-            field = c.input_literal(v)
-            if field == 0b01:
-                zeros += 1
-            elif field == 0b10:
-                ones += 1
+    rest = free
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        field_mask = bit * FULL_FIELD
+        fields = [x & field_mask for x in cubes]
+        zeros = fields.count(bit)
+        ones = fields.count(bit << 1)
         score = min(zeros, ones) * 1000 + zeros + ones
         if zeros and ones and score > best_score:
             best_score = score
-            best_var = v
+            best_bit = bit
 
-    if best_var is None:
+    if not best_bit:
         # Unate cover: it is a tautology iff it contains the universal cube,
         # which was already checked above.
         return False
 
-    remaining = [v for v in free_vars if v != best_var]
-    for polarity_field in (0b01, 0b10):
-        branch: List[Cube] = []
-        for c in cubes:
-            field = c.input_literal(best_var)
-            if field & polarity_field:
-                branch.append(c.with_input(best_var, FULL_FIELD) if field != FULL_FIELD else c)
+    remaining = free ^ best_bit
+    field_mask = best_bit * FULL_FIELD
+    for polarity in (best_bit, best_bit << 1):
+        branch = [x | field_mask for x in cubes if x & polarity]
         if not _is_tautology(branch, remaining, budget):
             return False
     return True

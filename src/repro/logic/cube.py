@@ -8,17 +8,24 @@ Two-level logic is manipulated as *covers* (lists of cubes).  A cube has
   literal, ``00`` an empty (contradictory) literal;
 * an **output part**: a bit mask of the outputs this product term feeds.
 
-Both parts are stored in plain Python integers, which keeps set operations
-(intersection, containment, cofactor) down to a couple of bit-wise
-instructions regardless of the variable count.
+Both parts are stored in plain Python integers.  Every predicate works on
+whole words: two masks per width (:func:`input_masks`) — ``FULL`` with every
+field set and ``LOW`` with the ``0b01`` bit of every field — turn a per-field
+question into a constant number of integer operations.  For a field pair
+``i = a & b``, ``(i | i >> 1) & LOW`` has the low bit of each non-empty
+field set, and ``(x ^ x >> 1) & LOW`` the low bit of each specified literal.
+Python integers are arbitrary precision: an operation's cost grows with
+the integer's size (CPython stores 30 bits, that is 15 variables, per
+digit), not with a Python-level loop over the variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Cube", "CubeError", "input_field", "FULL_FIELD"]
+__all__ = ["Cube", "CubeError", "input_field", "input_masks", "FULL_FIELD"]
 
 
 class CubeError(ValueError):
@@ -43,8 +50,19 @@ def input_field(value: str) -> int:
         raise CubeError(f"invalid literal {value!r}") from exc
 
 
-def _full_mask(num_inputs: int) -> int:
-    return (1 << (2 * num_inputs)) - 1 if num_inputs else 0
+@lru_cache(maxsize=256)
+def input_masks(num_inputs: int) -> Tuple[int, int]:
+    """``(FULL, LOW)`` for ``num_inputs`` variables, cached per width.
+
+    ``FULL`` has both bits of every field set (the universal input part);
+    ``LOW = FULL // 3`` has only the ``0b01`` bit of every field.
+    """
+    full = (1 << (2 * num_inputs)) - 1
+    return full, full // 3
+
+
+def _popcount(value: int) -> int:
+    return bin(value).count("1")
 
 
 @dataclass(frozen=True)
@@ -84,7 +102,7 @@ class Cube:
     @classmethod
     def universal(cls, num_inputs: int, outputs: int) -> "Cube":
         """The cube with every input literal a don't care."""
-        return cls(num_inputs, _full_mask(num_inputs), outputs)
+        return cls(num_inputs, input_masks(num_inputs)[0], outputs)
 
     # ----------------------------------------------------------- inspection
     def input_literal(self, var: int) -> int:
@@ -98,31 +116,33 @@ class Cube:
     def output_string(self, num_outputs: int) -> str:
         return "".join("1" if self.outputs >> i & 1 else "0" for i in range(num_outputs))
 
+    def _specified_mask(self) -> int:
+        """``LOW``-aligned mask of the fields holding ``01`` or ``10``."""
+        x = self.inputs
+        return (x ^ x >> 1) & input_masks(self.num_inputs)[1]
+
     def literal_count(self) -> int:
         """Number of specified (non-don't-care) input literals."""
-        return sum(
-            1
-            for v in range(self.num_inputs)
-            if self.input_literal(v) in (ZERO_FIELD, ONE_FIELD)
-        )
+        return _popcount(self._specified_mask())
 
     def output_count(self) -> int:
         return bin(self.outputs).count("1")
 
     def specified_vars(self) -> List[int]:
-        """Indices of input variables with a specified literal."""
-        return [
-            v
-            for v in range(self.num_inputs)
-            if self.input_literal(v) in (ZERO_FIELD, ONE_FIELD)
-        ]
+        """Indices of input variables with a specified literal, ascending."""
+        mask = self._specified_mask()
+        found: List[int] = []
+        while mask:
+            bit = mask & -mask
+            found.append((bit.bit_length() - 1) >> 1)
+            mask ^= bit
+        return found
 
     def is_input_valid(self) -> bool:
         """``True`` when no input field is empty (the cube is non-empty)."""
-        for v in range(self.num_inputs):
-            if self.input_literal(v) == EMPTY_FIELD:
-                return False
-        return True
+        x = self.inputs
+        low = input_masks(self.num_inputs)[1]
+        return (x | x >> 1) & low == low
 
     # ----------------------------------------------------------- operations
     def with_input(self, var: int, field: int) -> "Cube":
@@ -144,14 +164,12 @@ class Cube:
     def inputs_intersect(self, other: "Cube") -> bool:
         """``True`` when the input parts share at least one minterm."""
         inter = self.inputs & other.inputs
-        for v in range(self.num_inputs):
-            if (inter >> (2 * v)) & 0b11 == EMPTY_FIELD:
-                return False
-        return True
+        low = input_masks(self.num_inputs)[1]
+        return (inter | inter >> 1) & low == low
 
     def input_contains(self, other: "Cube") -> bool:
         """``True`` when this cube's input part contains ``other``'s."""
-        return other.inputs & ~self.inputs & _full_mask(self.num_inputs) == 0
+        return other.inputs & ~self.inputs & input_masks(self.num_inputs)[0] == 0
 
     def contains(self, other: "Cube") -> bool:
         """Full multi-output containment: inputs and outputs both contain."""
@@ -165,16 +183,13 @@ class Cube:
         """
         if not self.inputs_intersect(against):
             return None
-        mask = _full_mask(self.num_inputs)
-        return Cube(self.num_inputs, (self.inputs | (~against.inputs & mask)) & mask, self.outputs)
+        full = input_masks(self.num_inputs)[0]
+        return Cube(self.num_inputs, (self.inputs | (~against.inputs & full)) & full, self.outputs)
 
     def input_distance(self, other: "Cube") -> int:
         """Number of input variables in which the two cubes conflict."""
-        conflicts = 0
-        for v in range(self.num_inputs):
-            if ((self.inputs & other.inputs) >> (2 * v)) & 0b11 == EMPTY_FIELD:
-                conflicts += 1
-        return conflicts
+        inter = self.inputs & other.inputs
+        return _popcount(~(inter | inter >> 1) & input_masks(self.num_inputs)[1])
 
     def merge_distance_one(self, other: "Cube") -> Optional["Cube"]:
         """Merge two cubes differing in exactly one input variable.
@@ -185,26 +200,23 @@ class Cube:
         """
         if self.outputs != other.outputs:
             return None
-        differing = [
-            v for v in range(self.num_inputs) if self.input_literal(v) != other.input_literal(v)
-        ]
-        if len(differing) != 1:
+        low = input_masks(self.num_inputs)[1]
+        diff = self.inputs ^ other.inputs
+        differing = (diff | diff >> 1) & low
+        # Exactly one differing field: a single set bit.
+        if not differing or differing & (differing - 1):
             return None
-        var = differing[0]
-        merged_field = self.input_literal(var) | other.input_literal(var)
-        if merged_field != FULL_FIELD:
-            return None
-        return self.with_input(var, FULL_FIELD)
+        union = self.inputs | other.inputs
+        if not union & union >> 1 & differing:
+            return None  # the merged field is not a don't care
+        return Cube(self.num_inputs, self.inputs | differing * FULL_FIELD, self.outputs)
 
     def minterm_count(self) -> int:
         """Number of input minterms covered by this cube."""
-        count = 1
-        for v in range(self.num_inputs):
-            if self.input_literal(v) == FULL_FIELD:
-                count <<= 1
-            elif self.input_literal(v) == EMPTY_FIELD:
-                return 0
-        return count
+        if not self.is_input_valid():
+            return 0  # an empty field: no minterm at all
+        x = self.inputs
+        return 1 << _popcount(x & x >> 1 & input_masks(self.num_inputs)[1])
 
     def enumerate_minterms(self, limit: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
         """Yield covered input minterms as bit tuples (low-index var first)."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cube import Cube
-from .cover import Cover, TautologyBudget
+from .cover import Cover, TautologyBudget, covers_inputs
 
 __all__ = ["MinimizationResult", "minimize", "quick_minimize", "verify_minimization"]
 
@@ -125,62 +125,72 @@ def quick_minimize(on_set: Cover, dc_set: Optional[Cover] = None) -> Minimizatio
 # ------------------------------------------------------------------ phases
 
 
+def _inputs_by_output(cubes: Sequence[Cube], num_outputs: int) -> List[List[int]]:
+    """Per output, the input parts of the cubes feeding it, in cover order."""
+    return [[c.inputs for c in cubes if c.outputs >> o & 1] for o in range(num_outputs)]
+
+
+def _budget(budget_limit: Optional[int]) -> Optional[TautologyBudget]:
+    """A fresh node budget: every containment check gets its own."""
+    return TautologyBudget(budget_limit) if budget_limit is not None else None
+
+
 def _expand(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
     """EXPAND phase: enlarge each cube as far as the ON ∪ DC set allows."""
-    reference = cover.merged_with(dc)
+    num_inputs = cover.num_inputs
+    # The ON ∪ DC reference does not change during the phase, so each
+    # output's cube list is built once.
+    reference = _inputs_by_output(cover.merged_with(dc).cubes, cover.num_outputs)
     expanded: List[Cube] = []
     # Expanding small cubes first gives them the chance to swallow large ones.
     order = sorted(cover.cubes, key=lambda c: (c.minterm_count(), -c.literal_count()))
     for cube in order:
         grown = cube
-        # Try to raise every specified input literal to a don't care.
+        # Try to raise every specified input literal to a don't care: valid
+        # when every driven output still covers the enlarged cube.
         for var in cube.specified_vars():
             candidate = grown.raise_input(var)
-            if _candidate_valid(candidate, reference, budget_limit):
+            if all(
+                covers_inputs(reference[o], candidate.inputs, num_inputs, _budget(budget_limit))
+                for o in range(cover.num_outputs)
+                if candidate.outputs >> o & 1
+            ):
                 grown = candidate
         # Try to add further outputs to share the product term.
         for output in range(cover.num_outputs):
             if grown.outputs >> output & 1:
                 continue
-            candidate = grown.with_outputs(grown.outputs | (1 << output))
-            if _output_valid(candidate, output, reference, budget_limit):
-                grown = candidate
+            if covers_inputs(reference[output], grown.inputs, num_inputs, _budget(budget_limit)):
+                grown = grown.with_outputs(grown.outputs | (1 << output))
         expanded.append(grown)
     return Cover(cover.num_inputs, cover.num_outputs, expanded)
 
 
-def _candidate_valid(candidate: Cube, reference: Cover, budget_limit: Optional[int]) -> bool:
-    """An expansion is valid when every driven output still covers the cube."""
-    for output in range(reference.num_outputs):
-        if candidate.outputs >> output & 1:
-            if not _output_valid(candidate, output, reference, budget_limit):
-                return False
-    return True
-
-
-def _output_valid(candidate: Cube, output: int, reference: Cover, budget_limit: Optional[int]) -> bool:
-    budget = TautologyBudget(budget_limit) if budget_limit is not None else None
-    return reference.covers_cube(candidate, output, budget)
-
-
 def _irredundant(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
-    """IRREDUNDANT phase: greedily drop cubes covered by the rest of the cover."""
+    """IRREDUNDANT phase: greedily drop cubes covered by the rest of the cover.
+
+    A candidate is checked, output by output, against the cubes still kept
+    (in cover order) followed by the don't-care cubes of that output.
+    """
     cubes = list(cover.cubes)
+    num_inputs = cover.num_inputs
+    dc_inputs = _inputs_by_output(dc.cubes, cover.num_outputs)
+    feeding = [
+        [i for i, c in enumerate(cubes) if c.outputs >> o & 1] for o in range(cover.num_outputs)
+    ]
     # Try to drop cubes with many literals (low coverage) first.
     order = sorted(range(len(cubes)), key=lambda i: (cubes[i].minterm_count(), -cubes[i].literal_count()))
     removed = [False] * len(cubes)
     for idx in order:
         candidate = cubes[idx]
-        rest = Cover(
-            cover.num_inputs,
-            cover.num_outputs,
-            [c for i, c in enumerate(cubes) if i != idx and not removed[i]],
-        ).merged_with(dc)
         redundant = True
         for output in range(cover.num_outputs):
             if candidate.outputs >> output & 1:
-                budget = TautologyBudget(budget_limit) if budget_limit is not None else None
-                if not rest.covers_cube(candidate, output, budget):
+                relevant = [
+                    cubes[i].inputs for i in feeding[output] if i != idx and not removed[i]
+                ]
+                relevant.extend(dc_inputs[output])
+                if not covers_inputs(relevant, candidate.inputs, num_inputs, _budget(budget_limit)):
                     redundant = False
                     break
         if redundant:

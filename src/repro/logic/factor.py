@@ -14,17 +14,19 @@ product term becomes a set of literals ``(variable, polarity)``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cover import Cover
-from .cube import Cube
+from .cube import Cube, ONE_FIELD
 
 __all__ = ["BooleanNetwork", "NetworkNode", "build_network", "extract_common_cubes", "multilevel_literal_count"]
 
 
 Literal = Tuple[str, int]  # (signal name, polarity) with polarity 1 = positive
+Pair = Tuple[Literal, Literal]  # two literals in sorted order
 
 
 @dataclass
@@ -80,16 +82,24 @@ def build_network(cover: Cover, input_names: Optional[Sequence[str]] = None,
 
 
 def _cube_to_term(cube: Cube, input_names: Sequence[str]) -> Optional[FrozenSet[Literal]]:
-    literals: Set[Literal] = set()
-    for var in range(cube.num_inputs):
-        lit = cube.input_literal(var)
-        if lit == 0b01:
-            literals.add((input_names[var], 0))
-        elif lit == 0b10:
-            literals.add((input_names[var], 1))
-        elif lit == 0b00:
-            return None  # contradictory cube contributes nothing
-    return frozenset(literals)
+    if not cube.is_input_valid():
+        return None  # contradictory cube contributes nothing
+    return frozenset(
+        (input_names[var], 1 if cube.input_literal(var) == ONE_FIELD else 0)
+        for var in cube.specified_vars()
+    )
+
+
+def _pairs_with(changed: List[Literal], kept: FrozenSet[Literal]) -> Iterator[Pair]:
+    """The pairs of ``changed`` (sorted) with each other and with ``kept``.
+
+    When a rewrite swaps literals of a term, exactly these pairs appear in
+    (or vanish from) it; the pairs within ``kept`` are untouched.
+    """
+    for literal in changed:
+        for other in kept:
+            yield (literal, other) if literal < other else (other, literal)
+    yield from combinations(changed, 2)
 
 
 def extract_common_cubes(
@@ -105,23 +115,46 @@ def extract_common_cubes(
     The literal-count gain of extracting a pair occurring ``n`` times is
     ``n * 2 - (n + 2)`` = ``n - 2``: every occurrence is replaced by one
     literal (the divisor output) and the divisor itself costs two literals.
+
+    Pair counts are counted once and then kept up to date: rewriting a term
+    decrements the pairs it loses and increments the pairs it gains, and the
+    new divisor node's own term is counted like any other.  A literal index
+    finds the terms holding both literals of the chosen pair without a scan.
+    The pick is the highest count, ties broken by the lexicographically
+    smallest pair, read off a max-heap of ``(-count, pair)`` entries whose
+    stale entries (count changed since the push) are skipped.
     """
     result = network.copy()
+    counts: Dict[Pair, int] = {}
+    # Positions (node index, term index) of the terms holding each literal.
+    holders: Dict[Literal, Set[Tuple[int, int]]] = {}
+
+    def index_term(n: int, t: int, term: FrozenSet[Literal]) -> List[Pair]:
+        for literal in term:
+            holders.setdefault(literal, set()).add((n, t))
+        pairs = list(combinations(sorted(term), 2))
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + 1
+        return pairs
+
+    for n, node in enumerate(result.nodes):
+        for t, term in enumerate(node.terms):
+            index_term(n, t, term)
+    # Only a pair occurring three times or more saves literals (gain
+    # ``n - 2``), so only those enter the heap.
+    heap = [(-count, pair) for pair, count in counts.items() if count > 2]
+    heapq.heapify(heap)
+
     divisor_index = 0
     while divisor_index < max_divisors:
-        best_pair: Optional[Tuple[Literal, Literal]] = None
+        best_pair: Optional[Pair] = None
         best_count = 0
-        pair_counts: Dict[Tuple[Literal, Literal], int] = {}
-        for node in result.nodes:
-            for term in node.terms:
-                if len(term) < 2:
-                    continue
-                for pair in combinations(sorted(term), 2):
-                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        for pair, count in sorted(pair_counts.items()):
-            if count > best_count:
-                best_count = count
-                best_pair = pair
+        while heap:
+            negative, pair = heap[0]
+            if counts[pair] == -negative:
+                best_pair, best_count = pair, -negative
+                break
+            heapq.heappop(heap)  # stale: the count changed since the push
         if best_pair is None or best_count < min_occurrences or best_count - 2 <= 0:
             break
 
@@ -129,15 +162,31 @@ def extract_common_cubes(
         divisor_index += 1
         divisor_literals = frozenset(best_pair)
         new_literal: Literal = (divisor_name, 1)
-        for node in result.nodes:
-            new_terms: List[FrozenSet[Literal]] = []
-            for term in node.terms:
-                if divisor_literals <= term:
-                    new_terms.append(frozenset((term - divisor_literals) | {new_literal}))
-                else:
-                    new_terms.append(term)
-            node.terms = new_terms
+        first, second = best_pair
+        changed: Dict[Pair, None] = {}  # insertion-ordered set
+        for n, t in sorted(holders[first] & holders[second]):
+            term = result.nodes[n].terms[t]
+            new_term = frozenset((term - divisor_literals) | {new_literal})
+            result.nodes[n].terms[t] = new_term
+            kept = term & new_term
+            lost, gained = sorted(term - new_term), sorted(new_term - term)
+            for pair in _pairs_with(lost, kept):
+                counts[pair] -= 1
+                changed[pair] = None
+            for pair in _pairs_with(gained, kept):
+                counts[pair] = counts.get(pair, 0) + 1
+                changed[pair] = None
+            for literal in lost:
+                holders[literal].discard((n, t))
+            for literal in gained:
+                holders.setdefault(literal, set()).add((n, t))
         result.nodes.append(NetworkNode(divisor_name, [divisor_literals]))
+        for pair in index_term(len(result.nodes) - 1, 0, divisor_literals):
+            changed[pair] = None
+        # One fresh entry per changed pair that could still be picked.
+        for pair in changed:
+            if counts[pair] > 2:
+                heapq.heappush(heap, (-counts[pair], pair))
     return result
 
 

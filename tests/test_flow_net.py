@@ -457,6 +457,46 @@ class TestHttpSweepParity:
         assert second.uncached_seconds == 0.0
         assert second.cache_stats["misses"] == 0
 
+    def test_worker_cache_dirs_fill_the_coordinator_tier_without_a_client_cache(
+            self, tmp_path):
+        """Workers' --cache-dir writes through even when the client has none.
+
+        The second pass runs on fresh workers with empty local tiers, so
+        every hit must come from the coordinator; its read-through
+        populates are reads, not writes.
+        """
+        coord_dir = tmp_path / "coord-cache"
+        passes = []
+        for name in ("cold", "warm"):
+            # One coordinator per pass over the same --cache-dir, so the
+            # first pass's workers cannot serve the second pass's cells.
+            with CoordinatorHandle(port=0, cache_dir=coord_dir) as handle:
+                url = handle.url
+                threads = [
+                    start_worker_thread(url, f"{name}{i}",
+                                        cache_dir=tmp_path / f"{name}{i}")
+                    for i in range(2)
+                ]
+                passes.append(Sweep(NAMES, structures=("PST",),
+                                    coordinator_url=url,
+                                    queue_timeout=120).run())
+                request_with_retry(f"{url}/api/v1/stop", "POST", tries=3)
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            if name == "cold":
+                stored = len(ArtifactCache(coord_dir))
+        cold, warm = passes
+        assert stored > 0
+        assert normalized(cold.to_dict()) == normalized(warm.to_dict())
+        assert not any(stage["cached"] for result in cold.to_dict()["results"]
+                       for stage in result["stages"])
+        assert warm.all_cached
+        assert warm.uncached_seconds == 0.0
+        assert warm.cache_stats["misses"] == 0
+        assert warm.cache_stats["hits"] > 0
+        assert warm.cache_stats["writes"] == 0
+
     def test_poison_cell_degrades_to_partial_with_quarantine(self, tmp_path):
         set_active_plan(FaultPlan(seed=1, rules=(
             FaultRule(kind="stage-error", match="flow:dk512:PST:0",
@@ -608,6 +648,22 @@ class TestRemoteCache:
             assert reader.remote_misses == 1 and reader.misses == 1
             stats = reader.stats
             assert stats["remote_hits"] == 1 and stats["remote_misses"] == 1
+
+    def test_read_through_populates_count_no_writes(self, tmp_path):
+        keys = [f"{i:02d}" + "5" * 62 for i in range(3)]
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            url = handle.url
+            writer = RemoteCache(url, tmp_path / "writer")
+            for key in keys:
+                writer.put(key, {"k": key})
+            assert writer.writes == 3
+            reader = RemoteCache(url, tmp_path / "reader")
+            assert reader.get(keys[0]) == {"k": keys[0]}
+            assert reader.warm(keys) == 2
+            assert reader.writes == 0
+            assert reader.stats["writes"] == 0
+            # The populated copies are real: served locally from now on.
+            assert all(reader._load_local(key) is not None for key in keys)
 
     def test_warm_prefetches_a_batch(self, tmp_path):
         keys = [f"{i:02d}" + "3" * 62 for i in range(3)]

@@ -132,3 +132,37 @@ class TestMetrics:
         result = minimize(on)
         assert result.literals == result.cover.sop_literal_count()
         assert result.product_terms == result.final_terms
+
+
+# Table 3 cells: six small seed machines under every structure, plus the
+# large-ON-set ``tbk`` under PST.
+TABLE3_CELLS = [
+    (machine, structure)
+    for machine in ("dk512", "dk16", "donfile", "ex4", "mark1", "modulo12")
+    for structure in ("DFF", "PAT", "SIG", "PST")
+] + [("tbk", "PST")]
+
+
+class TestTable3CoverContract:
+    """Every Table 3 cover meets ON ⊆ cover ⊆ ON ∪ DC exactly.
+
+    The containment checks run without a tautology budget, so unlike the
+    sampled :func:`verify_minimization` nothing is left unchecked.
+    """
+
+    @pytest.mark.parametrize("machine,structure", TABLE3_CELLS,
+                             ids=[f"{m}-{s}" for m, s in TABLE3_CELLS])
+    def test_cover_contract_is_exact(self, machine, structure):
+        from repro.flow import FlowConfig, resolve_fsm, run_flow
+
+        result = run_flow(resolve_fsm(machine),
+                          FlowConfig(structure=structure, seed=1),
+                          materialize=True)
+        controller = result.controller
+        on_set = controller.excitation.on_set
+        dc_set = controller.excitation.dc_set
+        minimised = controller.minimization.cover
+        assert minimised.functionally_equal(on_set, dc=dc_set)
+        assert minimised.functionally_contains(on_set)  # ON ⊆ cover
+        assert on_set.merged_with(dc_set).functionally_contains(minimised)
+        assert len(minimised) == result.product_terms
