@@ -258,6 +258,15 @@ class ScoredEncoding:
             raise ValueError(
                 f"register width {register.width} does not match encoding width {self.width}"
             )
+        # Autonomous successors are looked up, not stepped, per transition.
+        # The step is linear over GF(2): a code's successor is the XOR of its
+        # high and low halves' successors, so two tables of about
+        # 2**(width/2) entries stand in for one of 2**width and wide
+        # registers stay cheap.
+        self._half = self.width // 2
+        self._low_mask = (1 << self._half) - 1
+        low_codes = range(1 << self._half)
+        high_codes = range(1 << (self.width - self._half))
         if self.mode in ("pst", "sig"):
             # Stage i of the feedback XOR reads string position i-1, i.e. the
             # integer bit (width - i); precomputing the tap mask turns the
@@ -265,21 +274,24 @@ class ScoredEncoding:
             self.tap_mask = 0
             for stage in register.feedback_taps:
                 self.tap_mask |= 1 << (self.width - stage)
+            self._auto_low = [self._autonomous(c) for c in low_codes]
+            self._auto_high = [self._autonomous(c << self._half) for c in high_codes]
         else:
+            # A D flip-flop register has no autonomous step: the excitation
+            # is the next code itself.
             self.tap_mask = 0
+            self._auto_low = [0] * len(low_codes)
+            self._auto_high = [0] * len(high_codes)
 
-        # Per specified transition (in FSM order): endpoints, static key parts.
-        self._present: List[str] = []
-        self._next: List[str] = []
-        self._static: List[Tuple[str, str]] = []  # (inputs, outputs)
+        # Per specified transition (in FSM order): present state, next state,
+        # and the static key parts (inputs, outputs).
+        self._rows: List[Tuple[str, str, str, str]] = []
         self._state_tids: Dict[str, List[int]] = {s: [] for s in self.codes}
         for t in fsm.transitions:
             if t.next == "*":
                 continue  # unspecified next states become don't cares
-            tid = len(self._present)
-            self._present.append(t.present)
-            self._next.append(t.next)
-            self._static.append((t.inputs, t.outputs))
+            tid = len(self._rows)
+            self._rows.append((t.present, t.next, t.inputs, t.outputs))
             self._state_tids[t.present].append(tid)
             if t.next != t.present:
                 self._state_tids[t.next].append(tid)
@@ -287,7 +299,7 @@ class ScoredEncoding:
         self._tid_key: List[Tuple[str, str, int]] = []
         self.groups: Dict[Tuple[str, str, int], Dict[int, int]] = {}
         self.counts: Dict[Tuple[str, str, int], int] = {}
-        for tid in range(len(self._present)):
+        for tid in range(len(self._rows)):
             key, code = self._key_of(tid, self.codes)
             self._tid_key.append(key)
             self.groups.setdefault(key, {})[tid] = code
@@ -312,13 +324,13 @@ class ScoredEncoding:
         return (feedback << (self.width - 1)) | (code >> 1)
 
     def _key_of(self, tid: int, codes: Mapping[str, int]) -> Tuple[Tuple[str, str, int], int]:
-        present_code = codes[self._present[tid]]
-        next_code = codes[self._next[tid]]
-        if self.mode in ("pst", "sig"):
-            excitation = next_code ^ self._autonomous(present_code)
-        else:
-            excitation = next_code
-        inputs, outputs = self._static[tid]
+        present, next_state, inputs, outputs = self._rows[tid]
+        present_code = codes[present]
+        excitation = (
+            codes[next_state]
+            ^ self._auto_high[present_code >> self._half]
+            ^ self._auto_low[present_code & self._low_mask]
+        )
         return (inputs, outputs, excitation), present_code
 
     def _group_count(self, key: Tuple[str, str, int], members: Mapping[int, int]) -> int:
@@ -327,6 +339,8 @@ class ScoredEncoding:
         _, outputs, excitation = key
         if excitation == 0 and "1" not in outputs:
             return 0  # nothing to assert: the row needs no product term
+        if len(members) == 1:
+            return 1  # one code: nothing to merge
         return _merged_cube_count_int([members[tid] for tid in sorted(members)])
 
     # ----------------------------------------------------- move evaluation
@@ -341,19 +355,10 @@ class ScoredEncoding:
             affected.update(self._state_tids[state])
         moves: List[Tuple[int, Tuple[str, str, int], Tuple[str, str, int], int]] = []
         dirty: Set[Tuple[str, str, int]] = set()
+        codes = dict(self.codes)
+        codes.update(changed)
         for tid in sorted(affected):
-            present_code = changed.get(self._present[tid])
-            if present_code is None:
-                present_code = self.codes[self._present[tid]]
-            next_code = changed.get(self._next[tid])
-            if next_code is None:
-                next_code = self.codes[self._next[tid]]
-            if self.mode in ("pst", "sig"):
-                excitation = next_code ^ self._autonomous(present_code)
-            else:
-                excitation = next_code
-            inputs, outputs = self._static[tid]
-            new_key = (inputs, outputs, excitation)
+            new_key, present_code = self._key_of(tid, codes)
             old_key = self._tid_key[tid]
             moves.append((tid, old_key, new_key, present_code))
             dirty.add(old_key)

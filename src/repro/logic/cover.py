@@ -12,7 +12,20 @@ The tautology recursion runs on the cubes' raw ``inputs`` integers, with the
 width's ``FULL``/``LOW`` masks (:func:`~repro.logic.cube.input_masks`)
 computed once per check: containment, cofactoring and the "don't care on
 every free variable" test are single integer expressions, and the free
-variables travel as one ``LOW``-aligned mask.
+variables travel as one ``LOW``-aligned mask.  The split variable is
+chosen among the binate free variables only: a unate one never wins the
+scan, so skipping it changes neither the choice nor the recursion.
+
+A containment check only needs the cubes that meet its target; the others
+drop out of the cofactored cover anyway.  :class:`CubeIndex` is the
+column-wise view of a cube list that Espresso-MV uses: per variable and
+value, one integer bitmap of the cubes admitting that value.  ANDing the
+bitmaps of the target's specified literals (within an ``alive`` mask of
+the cubes still in play) leaves every cube that meets the target, in list
+order, and usually only those.  The few extra ones (cubes missing the
+target only through an empty field) fail the check's own intersect test,
+so the cofactored cover that reaches the recursion is exactly the one the
+full list gives, and so are the answer and the node budget spent.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from .cube import Cube, CubeError, FULL_FIELD, ONE_FIELD, ZERO_FIELD, input_masks
 
-__all__ = ["Cover", "TautologyBudget", "BudgetExceeded", "covers_inputs"]
+__all__ = ["Cover", "CubeIndex", "TautologyBudget", "BudgetExceeded", "covers_inputs"]
 
 
 class BudgetExceeded(RuntimeError):
@@ -48,6 +61,60 @@ class TautologyBudget:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceeded()
+
+
+class CubeIndex:
+    """Column-wise view of a list of input parts: one cube bitmap per literal.
+
+    ``admits[2 * var + value]`` has bit ``i`` set when the field of cube ``i``
+    for ``var`` admits ``value`` (bit position ``2 * var + value`` is exactly
+    where that value's bit sits in a positional cube).  A cube intersects a
+    target only if it admits each of the target's specified literals, so
+    ANDing those literals' bitmaps leaves every cube that meets the target
+    and usually little else.
+    """
+
+    __slots__ = ("cubes", "all", "_low", "_admits")
+
+    def __init__(self, cubes: Sequence[int], num_inputs: int) -> None:
+        self.cubes: List[int] = list(cubes)
+        self.all: int = (1 << len(self.cubes)) - 1
+        full, self._low = input_masks(num_inputs)
+        # Most fields are don't cares, so the bits a cube lacks are few.
+        lacks = [0] * (2 * num_inputs)
+        for i, x in enumerate(self.cubes):
+            member = 1 << i
+            missing = ~x & full
+            while missing:
+                bit = missing & -missing
+                lacks[bit.bit_length() - 1] |= member
+                missing ^= bit
+        self._admits: List[int] = [self.all & ~m for m in lacks]
+
+    def meeting(self, target: int, alive: Optional[int] = None) -> List[int]:
+        """Input parts of the cubes in ``alive`` that may meet ``target``.
+
+        The result keeps list order and holds every cube of ``alive``
+        (default: all) that intersects ``target``.  A cube that misses the
+        target only through an empty field, its own or the target's, may be
+        returned too: callers keep their own intersect test.
+        """
+        mask = self.all if alive is None else alive
+        # The one set bit of each of the target's ``01``/``10`` fields.
+        spec = (target ^ target >> 1) & self._low
+        literals = target & (spec | spec << 1)
+        admits = self._admits
+        while literals and mask:
+            bit = literals & -literals
+            mask &= admits[bit.bit_length() - 1]
+            literals ^= bit
+        cubes = self.cubes
+        found: List[int] = []
+        while mask:
+            bit = mask & -mask
+            found.append(cubes[bit.bit_length() - 1])
+            mask ^= bit
+        return found
 
 
 class Cover:
@@ -201,9 +268,15 @@ class Cover:
 
     def functionally_contains(self, other: "Cover") -> bool:
         """``True`` if every cube of ``other`` is covered, output by output."""
+        indexes = [
+            CubeIndex([c.inputs for c in self.cubes_for_output(o)], self.num_inputs)
+            for o in range(self.num_outputs)
+        ]
         for cube in other:
-            for output in range(self.num_outputs):
-                if cube.outputs >> output & 1 and not self.covers_cube(cube, output):
+            for output, index in enumerate(indexes):
+                if cube.outputs >> output & 1 and not covers_inputs(
+                    index.meeting(cube.inputs), cube.inputs, self.num_inputs
+                ):
                     return False
         return True
 
@@ -275,24 +348,7 @@ def _is_tautology(
             return True
     if not free:
         return False
-
-    # Pick the most binate free variable (appears in both polarities most);
-    # ties go to the lowest variable index.
-    best_bit = 0
-    best_score = -1
-    rest = free
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        field_mask = bit * FULL_FIELD
-        fields = [x & field_mask for x in cubes]
-        zeros = fields.count(bit)
-        ones = fields.count(bit << 1)
-        score = min(zeros, ones) * 1000 + zeros + ones
-        if zeros and ones and score > best_score:
-            best_score = score
-            best_bit = bit
-
+    best_bit = _split_bit(cubes, free)
     if not best_bit:
         # Unate cover: it is a tautology iff it contains the universal cube,
         # which was already checked above.
@@ -305,3 +361,32 @@ def _is_tautology(
         if not _is_tautology(branch, remaining, budget):
             return False
     return True
+
+
+def _split_bit(cubes: List[int], free: int) -> int:
+    """``LOW`` bit of the most binate free variable, ``0`` if none is binate.
+
+    A variable's score counts the cubes holding it at ``01`` and at ``10``
+    (the rarer polarity weighs most); ties go to the lowest variable index.
+    A unate variable can never win, so only the free variables that some
+    cube holds at ``01`` and some cube holds at ``10`` are scored.
+    """
+    has_zero = has_one = 0
+    for x in cubes:
+        has_zero |= x & ~(x >> 1)
+        has_one |= x >> 1 & ~x
+    best_bit = 0
+    best_score = -1
+    rest = has_zero & has_one & free
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        field_mask = bit * FULL_FIELD
+        fields = [x & field_mask for x in cubes]
+        zeros = fields.count(bit)
+        ones = fields.count(bit << 1)
+        score = min(zeros, ones) * 1000 + zeros + ones
+        if score > best_score:
+            best_score = score
+            best_bit = bit
+    return best_bit

@@ -17,6 +17,14 @@ with the recursive tautology check of :mod:`repro.logic.cover`, so it also
 works for functions with many inputs where complementation is infeasible.
 A node budget bounds the effort per check; exhausting the budget only makes
 the result less optimised, never functionally wrong.
+
+Each phase indexes its reference cubes once per output
+(:class:`~repro.logic.cover.CubeIndex`): EXPAND over the ON ∪ DC cubes,
+IRREDUNDANT over the cubes feeding the output followed by its don't-care
+cubes, with an ``alive`` mask for the cubes removed so far and the
+candidate itself.  A check hands the tautology test only the indexed cubes
+that meet its target, which is the list it would have filtered down to, in
+the same order, so covers and budget spend are those of the full lists.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cube import Cube
-from .cover import Cover, TautologyBudget, covers_inputs
+from .cover import Cover, CubeIndex, TautologyBudget, covers_inputs
 
 __all__ = ["MinimizationResult", "minimize", "quick_minimize", "verify_minimization"]
 
@@ -90,9 +98,11 @@ def minimize(
 def quick_minimize(on_set: Cover, dc_set: Optional[Cover] = None) -> MinimizationResult:
     """Cheap minimisation: distance-1 merging plus containment removal.
 
-    Used as a fast fallback for very large covers (for instance the ``tbk``
-    benchmark's synthetic stand-in) where the full heuristic loop would
-    dominate experiment runtime.
+    Used as a fast fallback for covers above the flow's ``quick_threshold``
+    ON-set cubes, where the full heuristic loop would dominate experiment
+    runtime.  The Table 3 machines stay below it: ``tbk``, the largest,
+    has 361 ON-set cubes under PST against the default threshold of 700, so
+    it runs the full espresso loop.
     """
     initial = len(on_set)
     current = on_set.remove_single_cube_containment()
@@ -139,8 +149,11 @@ def _expand(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
     """EXPAND phase: enlarge each cube as far as the ON ∪ DC set allows."""
     num_inputs = cover.num_inputs
     # The ON ∪ DC reference does not change during the phase, so each
-    # output's cube list is built once.
-    reference = _inputs_by_output(cover.merged_with(dc).cubes, cover.num_outputs)
+    # output's cube index is built once.
+    reference = [
+        CubeIndex(inputs, num_inputs)
+        for inputs in _inputs_by_output(cover.merged_with(dc).cubes, cover.num_outputs)
+    ]
     expanded: List[Cube] = []
     # Expanding small cubes first gives them the chance to swallow large ones.
     order = sorted(cover.cubes, key=lambda c: (c.minterm_count(), -c.literal_count()))
@@ -150,8 +163,11 @@ def _expand(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
         # when every driven output still covers the enlarged cube.
         for var in cube.specified_vars():
             candidate = grown.raise_input(var)
+            target = candidate.inputs
             if all(
-                covers_inputs(reference[o], candidate.inputs, num_inputs, _budget(budget_limit))
+                covers_inputs(
+                    reference[o].meeting(target), target, num_inputs, _budget(budget_limit)
+                )
                 for o in range(cover.num_outputs)
                 if candidate.outputs >> o & 1
             ):
@@ -160,7 +176,10 @@ def _expand(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
         for output in range(cover.num_outputs):
             if grown.outputs >> output & 1:
                 continue
-            if covers_inputs(reference[output], grown.inputs, num_inputs, _budget(budget_limit)):
+            target = grown.inputs
+            if covers_inputs(
+                reference[output].meeting(target), target, num_inputs, _budget(budget_limit)
+            ):
                 grown = grown.with_outputs(grown.outputs | (1 << output))
         expanded.append(grown)
     return Cover(cover.num_inputs, cover.num_outputs, expanded)
@@ -170,31 +189,42 @@ def _irredundant(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
     """IRREDUNDANT phase: greedily drop cubes covered by the rest of the cover.
 
     A candidate is checked, output by output, against the cubes still kept
-    (in cover order) followed by the don't-care cubes of that output.
+    (in cover order) followed by the don't-care cubes of that output.  Each
+    output indexes its feeding cubes and its don't-care cubes once; an
+    ``alive`` mask per output drops the removed cubes, and the candidate's
+    own bit is cleared for its check.
     """
     cubes = list(cover.cubes)
     num_inputs = cover.num_inputs
     dc_inputs = _inputs_by_output(dc.cubes, cover.num_outputs)
-    feeding = [
-        [i for i, c in enumerate(cubes) if c.outputs >> o & 1] for o in range(cover.num_outputs)
-    ]
+    indexes: List[CubeIndex] = []
+    # Per cube, its (output, bit in that output's index) pairs.
+    members: List[List[Tuple[int, int]]] = [[] for _ in cubes]
+    for output in range(cover.num_outputs):
+        feeding = [i for i, c in enumerate(cubes) if c.outputs >> output & 1]
+        for slot, i in enumerate(feeding):
+            members[i].append((output, 1 << slot))
+        indexes.append(
+            CubeIndex([cubes[i].inputs for i in feeding] + dc_inputs[output], num_inputs)
+        )
+    alive = [index.all for index in indexes]
     # Try to drop cubes with many literals (low coverage) first.
     order = sorted(range(len(cubes)), key=lambda i: (cubes[i].minterm_count(), -cubes[i].literal_count()))
     removed = [False] * len(cubes)
     for idx in order:
-        candidate = cubes[idx]
-        redundant = True
-        for output in range(cover.num_outputs):
-            if candidate.outputs >> output & 1:
-                relevant = [
-                    cubes[i].inputs for i in feeding[output] if i != idx and not removed[i]
-                ]
-                relevant.extend(dc_inputs[output])
-                if not covers_inputs(relevant, candidate.inputs, num_inputs, _budget(budget_limit)):
-                    redundant = False
-                    break
-        if redundant:
+        target = cubes[idx].inputs
+        if all(
+            covers_inputs(
+                indexes[output].meeting(target, alive[output] & ~bit),
+                target,
+                num_inputs,
+                _budget(budget_limit),
+            )
+            for output, bit in members[idx]
+        ):
             removed[idx] = True
+            for output, bit in members[idx]:
+                alive[output] &= ~bit
     return Cover(cover.num_inputs, cover.num_outputs, [c for i, c in enumerate(cubes) if not removed[i]])
 
 

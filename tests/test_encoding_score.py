@@ -257,6 +257,80 @@ class TestScoredEncodingParity:
         assert scored.estimate == full
 
 
+class TestPreviewFastPaths:
+    """Previews read autonomous successors from split tables and count a
+    one-member asserting group as one term without merging; both must keep
+    every preview equal to the full recompute."""
+
+    @pytest.mark.parametrize("structure", ["pst", "sig", "dff"])
+    def test_previews_match_full_recompute(self, structure):
+        rng = random.Random(41)
+        singles = silent = 0
+        for trial in range(6):
+            fsm = generate_controller(
+                f"fast{trial}", num_states=10, num_inputs=2, num_outputs=2,
+                num_transitions=28, seed=70 + trial, output_dc_probability=0.4,
+            )
+            width = fsm.min_code_bits + (trial % 3)
+            encoding = random_encoding(fsm, width=width, seed=trial)
+            lfsr = LFSR.with_primitive_polynomial(width)
+            scored = ScoredEncoding(fsm, encoding, lfsr, structure)
+            codes = dict(encoding.codes)
+            states = list(codes)
+            for _ in range(50):
+                if rng.random() < 0.5:
+                    a, b = rng.sample(states, 2)
+                    changed = {a: codes[b], b: codes[a]}
+                else:
+                    used = set(codes.values())
+                    free = [format(v, f"0{width}b") for v in range(1 << width)]
+                    free = [c for c in free if c not in used]
+                    if not free:
+                        continue
+                    changed = {rng.choice(states): rng.choice(free)}
+                estimate, patch = scored.preview({s: int(c, 2) for s, c in changed.items()})
+                trial_codes = dict(codes)
+                trial_codes.update(changed)
+                expected = estimate_product_terms(
+                    fsm, StateEncoding(width, trial_codes), lfsr, structure
+                )
+                assert estimate == expected, (trial, structure)
+                for (_, outputs, excitation), members in patch.groups.items():
+                    if excitation == 0 and "1" not in outputs:
+                        silent += bool(members)
+                    elif len(members) == 1:
+                        singles += 1
+                if rng.random() < 0.5:  # accept about half of the moves
+                    scored.commit(patch)
+                    codes = trial_codes
+                    assert scored.estimate == expected
+        # Both shortcuts of the group count were taken.
+        assert singles and silent
+
+    @pytest.mark.parametrize("width", [3, 4, 5, 8])  # 3 is the minimum for 8 states
+    def test_successor_tables_match_the_register(self, small_controller, width):
+        encoding = random_encoding(small_controller, width=width, seed=1)
+        lfsr = LFSR.with_primitive_polynomial(width)
+        for structure in ("pst", "sig"):
+            scored = ScoredEncoding(small_controller, encoding, lfsr, structure)
+            for code in range(1 << width):
+                successor = (scored._auto_high[code >> scored._half]
+                             ^ scored._auto_low[code & scored._low_mask])
+                assert successor == int(lfsr.next_state(format(code, f"0{width}b")), 2)
+        dff = ScoredEncoding(small_controller, encoding, None, "dff")
+        assert not any(dff._auto_high) and not any(dff._auto_low)
+
+    def test_wide_register_tables_stay_small(self, small_controller):
+        encoding = random_encoding(small_controller, width=16, seed=1)
+        scored = ScoredEncoding(
+            small_controller, encoding, LFSR.with_primitive_polynomial(16), "pst"
+        )
+        assert len(scored._auto_low) + len(scored._auto_high) == 2 * 2**8
+        assert scored.estimate == estimate_product_terms(
+            small_controller, encoding, LFSR.with_primitive_polynomial(16), "pst"
+        )
+
+
 class TestSwapCandidateBounding:
     def test_wide_register_move_generation_is_bounded(self):
         rng = random.Random(0)

@@ -1,24 +1,33 @@
 """Property tests pinning the word-level logic kernels to per-variable references.
 
 The positional-cube predicates of :mod:`repro.logic.cube`, the tautology
-check of :mod:`repro.logic.cover` and the incremental common-cube extraction
-of :mod:`repro.logic.factor` are all bit-level rewrites of simple loops.  The
-loops live on here, written out one variable (or one recount) at a time, and
-every property asserts that the production kernel returns exactly what the
-loop returns — including the node budget a tautology check spends, which
-decides when the heuristic minimiser gives up on a check.
+check and cube index of :mod:`repro.logic.cover`, the EXPAND/IRREDUNDANT
+phases of :mod:`repro.logic.espresso` and the incremental common-cube
+extraction of :mod:`repro.logic.factor` are all rewrites of simple loops.
+The loops live on here, written out one variable (or one recount, or one
+full reference list) at a time, and every property asserts that the
+production kernel returns exactly what the loop returns — including the
+node budget a tautology check spends, which decides when the heuristic
+minimiser gives up on a check.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import Cover, Cube
-from repro.logic.cover import BudgetExceeded, TautologyBudget, covers_inputs
+from repro.logic import Cover, Cube, espresso, minimize
+from repro.logic.cover import (
+    BudgetExceeded,
+    CubeIndex,
+    TautologyBudget,
+    _split_bit,
+    covers_inputs,
+)
 from repro.logic.cube import input_masks
 from repro.logic.factor import BooleanNetwork, NetworkNode, extract_common_cubes
 
@@ -127,6 +136,116 @@ def ref_is_tautology(cubes: List[Cube], free_vars: List[int],
         if not ref_is_tautology(branch, remaining, budget):
             return False
     return True
+
+
+def ref_admits_target_literals(cube: int, target: int, width: int) -> bool:
+    """Does the cube admit each of the target's specified (01/10) fields?"""
+    for v in range(width):
+        t = (target >> (2 * v)) & 0b11
+        if t in (0b01, 0b10) and not (cube >> (2 * v)) & t:
+            return False
+    return True
+
+
+def ref_inputs_meet(a: int, b: int, width: int) -> bool:
+    return all((a >> (2 * v)) & (b >> (2 * v)) & 0b11 for v in range(width))
+
+
+def ref_split_bit(cubes: List[int], free: int, width: int) -> int:
+    """The split-variable scan over every free variable, unate ones too."""
+    best_bit = 0
+    best_score = -1
+    for v in range(width):
+        bit = 1 << (2 * v)
+        if not free & bit:
+            continue
+        fields = [(x >> (2 * v)) & 0b11 for x in cubes]
+        zeros = fields.count(0b01)
+        ones = fields.count(0b10)
+        score = min(zeros, ones) * 1000 + zeros + ones
+        if zeros and ones and score > best_score:
+            best_score = score
+            best_bit = bit
+    return best_bit
+
+
+# The EXPAND/IRREDUNDANT phases as they were before the cube index: every
+# containment check hands the full reference list to the tautology check.
+# ``new_budget`` makes the budget of one check.
+
+BudgetFactory = Callable[[Optional[int]], Optional[TautologyBudget]]
+
+
+def ref_expand(cover: Cover, dc: Cover, limit: Optional[int],
+               new_budget: BudgetFactory) -> Cover:
+    n = cover.num_inputs
+    merged = cover.merged_with(dc).cubes
+    reference = [[c.inputs for c in merged if c.outputs >> o & 1]
+                 for o in range(cover.num_outputs)]
+    expanded = []
+    order = sorted(cover.cubes, key=lambda c: (c.minterm_count(), -c.literal_count()))
+    for cube in order:
+        grown = cube
+        for var in cube.specified_vars():
+            candidate = grown.raise_input(var)
+            if all(covers_inputs(reference[o], candidate.inputs, n, new_budget(limit))
+                   for o in range(cover.num_outputs) if candidate.outputs >> o & 1):
+                grown = candidate
+        for output in range(cover.num_outputs):
+            if grown.outputs >> output & 1:
+                continue
+            if covers_inputs(reference[output], grown.inputs, n, new_budget(limit)):
+                grown = grown.with_outputs(grown.outputs | (1 << output))
+        expanded.append(grown)
+    return Cover(n, cover.num_outputs, expanded)
+
+
+def ref_irredundant(cover: Cover, dc: Cover, limit: Optional[int],
+                    new_budget: BudgetFactory) -> Cover:
+    cubes = list(cover.cubes)
+    n = cover.num_inputs
+    order = sorted(range(len(cubes)),
+                   key=lambda i: (cubes[i].minterm_count(), -cubes[i].literal_count()))
+    removed = [False] * len(cubes)
+    for idx in order:
+        redundant = True
+        for output in range(cover.num_outputs):
+            if cubes[idx].outputs >> output & 1:
+                relevant = [c.inputs for i, c in enumerate(cubes)
+                            if c.outputs >> output & 1 and i != idx and not removed[i]]
+                relevant += [c.inputs for c in dc.cubes if c.outputs >> output & 1]
+                if not covers_inputs(relevant, cubes[idx].inputs, n, new_budget(limit)):
+                    redundant = False
+                    break
+        if redundant:
+            removed[idx] = True
+    return Cover(n, cover.num_outputs, [c for i, c in enumerate(cubes) if not removed[i]])
+
+
+def ref_minimize(on_set: Cover, dc: Cover, limit: Optional[int],
+                 new_budget: BudgetFactory) -> Tuple[Cover, int]:
+    current = on_set.remove_single_cube_containment()
+    iterations = 0
+    for _ in range(4):
+        iterations += 1
+        before = len(current)
+        current = ref_expand(current, dc, limit, new_budget)
+        current = current.remove_single_cube_containment()
+        current = ref_irredundant(current, dc, limit, new_budget)
+        if len(current) >= before:
+            break
+    return current, iterations
+
+
+def recording_budgets(budgets: List[TautologyBudget]) -> BudgetFactory:
+    """A budget factory that keeps every budget it hands out."""
+    def new_budget(limit: Optional[int]) -> Optional[TautologyBudget]:
+        if limit is None:
+            return None
+        budget = TautologyBudget(limit)
+        budgets.append(budget)
+        return budget
+    return new_budget
 
 
 Literal = Tuple[str, int]
@@ -314,6 +433,135 @@ class TestTautology:
         budget = TautologyBudget(limit)
         assert covers_inputs([c.inputs for c in cubes], target.inputs,
                              target.num_inputs, budget) == expected
+
+
+# --------------------------------------------------------------------------
+# Cube index, binate split choice and the indexed espresso phases
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def index_problems(draw):
+    """Cubes around a target (near misses, supersets, random words), an
+    ``alive`` mask and the target; fields of both may be empty."""
+    width = draw(WIDTHS)
+    full, low = input_masks(width)
+    target = draw(st.integers(0, full))
+    cubes = []
+    for _ in range(draw(st.one_of(st.integers(0, 4), st.integers(25, 70)))):
+        kind = draw(st.integers(0, 2))
+        noise = draw(st.integers(0, full))
+        if kind == 0:
+            cubes.append(noise)
+        elif kind == 1:
+            cubes.append(target | noise)
+        else:
+            keep = (draw(st.integers(0, low)) | draw(st.integers(0, low))
+                    | draw(st.integers(0, low))) & low
+            cubes.append((target & keep * 0b11) | (noise & ~(keep * 0b11) & full))
+    alive = draw(st.integers(0, (1 << len(cubes)) - 1))
+    return width, cubes, target, alive
+
+
+@st.composite
+def split_problems(draw):
+    """Cubes without empty fields, biased to don't cares, and a free mask."""
+    width = draw(st.one_of(st.integers(0, 8), st.integers(30, 40)))
+    _, low = input_masks(width)
+    field = st.sampled_from([0b01, 0b10, 0b11, 0b11, 0b11])
+    cubes = [packed(draw(st.lists(field, min_size=width, max_size=width)))
+             for _ in range(draw(st.integers(0, 16)))]
+    return width, cubes, draw(st.integers(0, low)) & low
+
+
+@st.composite
+def minimisation_problems(draw):
+    """A random multi-output ON cover and DC cover of one width."""
+    width = draw(st.integers(0, 7))
+    outputs = draw(st.integers(1, 3))
+    field = st.sampled_from([0b01, 0b10, 0b11])
+
+    def cover(max_cubes: int) -> Cover:
+        return Cover(width, outputs, [
+            Cube(width, packed(draw(st.lists(field, min_size=width, max_size=width))),
+                 draw(st.integers(1, (1 << outputs) - 1)))
+            for _ in range(draw(st.integers(0, max_cubes)))
+        ])
+
+    return cover(14), cover(5)
+
+
+class TestCubeIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(index_problems())
+    def test_meeting_keeps_every_meeting_cube_in_order(self, problem):
+        width, cubes, target, alive = problem
+        index = CubeIndex(cubes, width)
+        got = index.meeting(target, alive)
+        # Exactly the alive cubes admitting each specified target literal.
+        assert got == [x for i, x in enumerate(cubes)
+                       if alive >> i & 1 and ref_admits_target_literals(x, target, width)]
+        # So after the caller's own intersect test, exactly the alive cubes
+        # that meet the target, in list order.
+        assert [x for x in got if ref_inputs_meet(x, target, width)] == [
+            x for i, x in enumerate(cubes)
+            if alive >> i & 1 and ref_inputs_meet(x, target, width)]
+        assert index.meeting(target) == index.meeting(target, index.all)
+
+    def test_empty_list_and_no_literals(self):
+        assert CubeIndex([], 5).meeting(0b1001_1110) == []
+        cubes = [0b0110, 0b1001, 0b0000]
+        # The universal target constrains nothing; an empty alive mask drops all.
+        assert CubeIndex(cubes, 2).meeting(0b1111) == cubes
+        assert CubeIndex(cubes, 2).meeting(0b0110, 0) == []
+        assert CubeIndex(cubes, 0).meeting(0) == cubes
+
+
+class TestSplitVariable:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_binate_scan_picks_the_all_free_variables_choice(self, problem):
+        width, cubes, free = problem
+        assert _split_bit(cubes, free) == ref_split_bit(cubes, free, width)
+
+
+class TestIndexedEspresso:
+    @settings(max_examples=150, deadline=None)
+    @given(minimisation_problems(),
+           st.one_of(st.integers(1, 5), st.just(20_000), st.none()))
+    def test_matches_full_list_phases(self, problem, limit):
+        on_set, dc = problem
+        spent: List[TautologyBudget] = []
+        with mock.patch.object(espresso, "_budget", recording_budgets(spent)):
+            result = minimize(on_set, dc, tautology_budget=limit)
+        ref_spent: List[TautologyBudget] = []
+        want, iterations = ref_minimize(on_set, dc, limit, recording_budgets(ref_spent))
+        assert result.cover.to_dict() == want.to_dict()
+        assert result.iterations == iterations
+        assert [b.used for b in spent] == [b.used for b in ref_spent]
+
+    def test_tiny_budget_exhausts_and_still_matches(self):
+        # x0 x1 + x0' x1 + x1' (ON) cannot be grown without splitting.
+        on_set = Cover(3, 2, [Cube.from_strings(i, o) for i, o in (
+            ("11-", "10"), ("01-", "11"), ("-0-", "01"), ("--1", "10"), ("000", "01"))])
+        dc = Cover(3, 2, [Cube.from_strings("101", "11")])
+        spent: List[TautologyBudget] = []
+        with mock.patch.object(espresso, "_budget", recording_budgets(spent)):
+            result = minimize(on_set, dc, tautology_budget=1)
+        ref_spent: List[TautologyBudget] = []
+        want, _ = ref_minimize(on_set, dc, 1, recording_budgets(ref_spent))
+        assert any(b.used > b.limit for b in spent)  # some check gave up
+        assert result.cover.to_dict() == want.to_dict()
+        assert [b.used for b in spent] == [b.used for b in ref_spent]
+
+    @settings(max_examples=150, deadline=None)
+    @given(minimisation_problems())
+    def test_functional_containment_matches_per_cube_checks(self, problem):
+        on_set, dc = problem
+        for left, right in ((on_set, dc), (dc, on_set), (on_set.merged_with(dc), on_set)):
+            expected = all(left.covers_cube(c, o) for c in right
+                           for o in range(right.num_outputs) if c.outputs >> o & 1)
+            assert left.functionally_contains(right) == expected
 
 
 # --------------------------------------------------------------------------
