@@ -10,7 +10,13 @@ directory and asserts, from the serialized stage timings:
 * both passes produced bit-identical Table 2/3 metrics, and
 * the warm pass spent less wall-clock than the cold pass.
 
-Both serialized :class:`repro.flow.SweepResult` payloads are written next to
+A third pass runs the same cells on another seed against the warm cache.
+Only the MISR assignment of PST reads the seed, so that pass must
+recompute every PST stage and serve every DFF/PAT stage from the cache,
+with the cold pass's DFF/PAT metrics.  It runs without the Table 2
+baseline, which is not a flow stage.
+
+The serialized :class:`repro.flow.SweepResult` payloads are written next to
 ``--out`` so CI uploads them as artifacts (the JSON diff between two PRs is
 the perf/metric trajectory of the sweep).
 
@@ -26,14 +32,16 @@ import argparse
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from repro.flow import ArtifactCache, Sweep, SweepResult
 
 
-def run_pass(names, trials: int, cache: ArtifactCache) -> SweepResult:
+def run_pass(names, trials: Optional[int], cache: ArtifactCache, seed: int = 0) -> SweepResult:
     return Sweep(
         names,
         structures=("PST", "DFF", "PAT"),
+        seeds=(seed,),
         random_trials=trials,
         random_seed=1991,
         cache=cache,
@@ -57,9 +65,11 @@ def main() -> int:
         cache = ArtifactCache(cache_dir)
         cold = run_pass(names, args.trials, cache)
         warm = run_pass(names, args.trials, cache)
+        reseeded = run_pass(names, None, cache, seed=1)
 
     (args.out / "sweep_cold.json").write_text(cold.to_json())
     (args.out / "sweep_warm.json").write_text(warm.to_json())
+    (args.out / "sweep_reseeded.json").write_text(reseeded.to_json())
 
     failures = []
     if cold.all_cached:
@@ -83,6 +93,20 @@ def main() -> int:
         ):
             failures.append(f"baseline of {name} differs between passes")
 
+    cold_by_cell = {(r.fsm, r.structure): dict(r.metrics) for r in cold.results}
+    for result in reseeded.results:
+        cell = f"{result.fsm}/{result.structure}"
+        cached = [s.name for s in result.cacheable_stages if s.cached]
+        computed = [s.name for s in result.cacheable_stages if not s.cached]
+        if result.structure == "PST":
+            if cached:
+                failures.append(f"reseeded pass served {cell} stages from the cache: "
+                                f"{', '.join(cached)}")
+        elif computed:
+            failures.append(f"reseeded pass recomputed {cell} stages: {', '.join(computed)}")
+        elif dict(result.metrics) != cold_by_cell[(result.fsm, result.structure)]:
+            failures.append(f"reseeded pass metrics of {cell} differ from the cold pass")
+
     # Timing backstop: a broken cache makes the warm pass as slow as the cold
     # one.  The absolute guard keeps shared-runner wall-clock noise from
     # failing the job when the warm pass is trivially fast anyway — the
@@ -96,11 +120,15 @@ def main() -> int:
           f"({cold.uncached_seconds:.3f}s stage work, {len(cold.results)} cells)")
     print(f"warm pass: {warm.total_seconds:.3f}s "
           f"({warm.uncached_seconds:.3f}s stage work, all cached: {warm.all_cached})")
+    print(f"reseeded pass: {reseeded.total_seconds:.3f}s "
+          f"({reseeded.uncached_seconds:.3f}s stage work, cache hits: "
+          f"{reseeded.cache_stats.get('hits', 0)})")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("OK: second pass served entirely from the artifact cache")
+    print("OK: second pass served entirely from the artifact cache; "
+          "a new seed recomputed only the PST stages")
     return 0
 
 

@@ -230,6 +230,11 @@ class BeamScorer:
 # ---------------------------------------------------------------------------
 
 
+#: One transition re-grouped by a previewed move:
+#: ``(tid, old group key, new group key, present-state code)``.
+_Move = Tuple[int, Tuple[str, str, int], Tuple[str, str, int], int]
+
+
 class ScoredEncoding:
     """A complete encoding plus the cached product-term group decomposition.
 
@@ -333,62 +338,80 @@ class ScoredEncoding:
         )
         return (inputs, outputs, excitation), present_code
 
-    def _group_count(self, key: Tuple[str, str, int], members: Mapping[int, int]) -> int:
-        if not members:
+    def _group_count(
+        self,
+        key: Tuple[str, str, int],
+        members: Mapping[int, int],
+        moves: Sequence[_Move] = (),
+        shift: int = 0,
+    ) -> int:
+        """Merge count of group ``key`` once ``moves`` are applied to ``members``.
+
+        ``shift`` is the net member count the moves add to the group, so
+        only a group that really needs merging gathers its codes.
+        """
+        size = len(members) + shift
+        if not size:
             return 0
         _, outputs, excitation = key
         if excitation == 0 and "1" not in outputs:
             return 0  # nothing to assert: the row needs no product term
-        if len(members) == 1:
+        if size == 1:
             return 1  # one code: nothing to merge
-        return _merged_cube_count_int([members[tid] for tid in sorted(members)])
+        gone = {tid for tid, old_key, _, _ in moves if old_key == key}
+        pairs = [item for item in members.items() if item[0] not in gone]
+        pairs.extend((tid, code) for tid, _, new_key, code in moves if new_key == key)
+        pairs.sort()
+        return _merged_cube_count_int([code for _, code in pairs])
 
     # ----------------------------------------------------- move evaluation
     def preview(self, changed: Mapping[str, int]) -> Tuple[int, "_Patch"]:
         """Estimate after re-coding the states in ``changed`` (no commit).
 
         Only groups containing a transition that touches a changed state are
-        re-derived; everything else keeps its cached merge count.
+        re-derived; everything else keeps its cached merge count.  A
+        re-derived group is sized from its cached members and the moves, and
+        its codes are gathered only when they must be merged, so a rejected
+        move copies no group.
         """
         affected: Set[int] = set()
         for state in changed:
             affected.update(self._state_tids[state])
-        moves: List[Tuple[int, Tuple[str, str, int], Tuple[str, str, int], int]] = []
-        dirty: Set[Tuple[str, str, int]] = set()
+        moves: List[_Move] = []
+        shifts: Dict[Tuple[str, str, int], int] = {}
         codes = dict(self.codes)
         codes.update(changed)
         for tid in sorted(affected):
             new_key, present_code = self._key_of(tid, codes)
             old_key = self._tid_key[tid]
             moves.append((tid, old_key, new_key, present_code))
-            dirty.add(old_key)
-            dirty.add(new_key)
-
-        patched: Dict[Tuple[str, str, int], Dict[int, int]] = {
-            key: dict(self.groups.get(key, ())) for key in dirty
-        }
-        for tid, old_key, new_key, present_code in moves:
-            del patched[old_key][tid]
-            patched[new_key][tid] = present_code
+            shifts[old_key] = shifts.get(old_key, 0) - 1
+            shifts[new_key] = shifts.get(new_key, 0) + 1
 
         new_counts: Dict[Tuple[str, str, int], int] = {}
         total = self.total
-        for key, members in patched.items():
-            count = self._group_count(key, members)
+        for key, shift in shifts.items():
+            members = self.groups.get(key, _NO_MEMBERS)
+            count = self._group_count(key, members, moves, shift)
             new_counts[key] = count
             total += count - self.counts.get(key, 0)
-        return total, _Patch(dict(changed), moves, patched, new_counts, total)
+        return total, _Patch(dict(changed), moves, new_counts, total)
 
     def commit(self, patch: "_Patch") -> None:
-        """Apply a move previously evaluated with :meth:`preview`."""
+        """Apply a move previously evaluated with :meth:`preview`, in place."""
         self.codes.update(patch.changed)
-        for tid, _, new_key, _ in patch.moves:
+        for tid, old_key, new_key, present_code in patch.moves:
             self._tid_key[tid] = new_key
+            del self.groups[old_key][tid]
+            self.groups.setdefault(new_key, {})[tid] = present_code
         # Emptied groups are kept with a zero count so later previews see a
         # consistent (members, count) pair for every key ever created.
-        self.groups.update(patch.groups)
         self.counts.update(patch.counts)
         self.total = patch.total
+
+
+#: The cached members of a group no transition has entered yet.
+_NO_MEMBERS: Mapping[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -396,8 +419,7 @@ class _Patch:
     """Pending state of one previewed move (committed only on acceptance)."""
 
     changed: Dict[str, int]
-    moves: List[Tuple[int, Tuple[str, str, int], Tuple[str, str, int], int]]
-    groups: Dict[Tuple[str, str, int], Dict[int, int]]
+    moves: List[_Move]
     counts: Dict[Tuple[str, str, int], int]
     total: int
 

@@ -13,8 +13,11 @@ Per-stage digests (:meth:`FlowConfig.stage_digest`) only hash the fields
 that can change that stage's output — ``jobs`` is excluded everywhere
 because both the multi-start assignment and the fault-list sharding are
 deterministic-merge parallel (the result never depends on the worker
-count), and fault-simulation knobs do not invalidate cached assignment or
-minimisation artifacts.
+count), fault-simulation knobs do not invalidate cached assignment or
+minimisation artifacts, and the knobs of the MISR state assignment
+(``seed``, ``beam_width``, ...) are hashed only for the PST and SIG
+structures that run it: the DFF and PAT assigners read nothing but
+``width``, so their artifacts are shared across seeds.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ _VALID_FAULT_ENGINES = ("compiled", "legacy")
 
 # Fields that influence each (cacheable) stage's output.  Later stages
 # include everything earlier stages depend on, so a stage digest implicitly
-# chains through its upstream configuration.
-_ASSIGN_KEYS = (
-    "structure",
-    "width",
+# chains through its upstream configuration.  The MISR-assignment fields
+# are digested only for the structures in ``_MISR_STRUCTURES``: the DFF
+# (MUSTANG) and PAT assigners read ``width`` alone, so hashing the seed
+# there would recompute byte-identical artifacts for every seed.
+_MISR_ASSIGN_KEYS = (
     "beam_width",
     "partitions_per_column",
     "seed",
@@ -64,6 +68,8 @@ _ASSIGN_KEYS = (
     "input_weight",
     "output_weight",
 )
+_MISR_STRUCTURES = frozenset({BISTStructure.PST.value, BISTStructure.SIG.value})
+_ASSIGN_KEYS = ("structure", "width") + _MISR_ASSIGN_KEYS
 _EXCITE_KEYS = _ASSIGN_KEYS
 _MINIMIZE_KEYS = _EXCITE_KEYS + (
     "minimize_method",
@@ -80,6 +86,9 @@ _FAULTSIM_KEYS = _MINIMIZE_KEYS + (
     "faultsim_shards",
 )
 
+# Every key any structure can digest, per stage, so the digest-completeness
+# lint rule sees each field; ``stage_digest`` drops ``_MISR_ASSIGN_KEYS``
+# for DFF and PAT.
 _STAGE_KEYS: Dict[str, Tuple[str, ...]] = {
     "assign": _ASSIGN_KEYS,
     "excite": _EXCITE_KEYS,
@@ -219,10 +228,10 @@ class FlowConfig:
     def stage_digest(self, stage: str) -> str:
         """Content digest of the fields that can change ``stage``'s output.
 
-        ``jobs`` never participates (parallelism is result-identical), and a
+        ``jobs`` never participates (parallelism is result-identical), a
         stage's digest is insensitive to knobs of later stages — changing
         ``fault_patterns`` keeps cached assignment/minimisation artifacts
-        valid.
+        valid — and the MISR-assignment knobs count only for PST and SIG.
         """
         try:
             keys = _STAGE_KEYS[stage]
@@ -230,6 +239,8 @@ class FlowConfig:
             raise ValueError(
                 f"stage {stage!r} has no cache digest (expected one of {sorted(_STAGE_KEYS)})"
             ) from None
+        if self.structure not in _MISR_STRUCTURES:
+            keys = tuple(key for key in keys if key not in _MISR_ASSIGN_KEYS)
         return _digest({key: getattr(self, key) for key in keys})
 
 

@@ -258,9 +258,11 @@ class TestScoredEncodingParity:
 
 
 class TestPreviewFastPaths:
-    """Previews read autonomous successors from split tables and count a
-    one-member asserting group as one term without merging; both must keep
-    every preview equal to the full recompute."""
+    """Previews read autonomous successors from split tables, count a
+    one-member asserting group as one term without merging, and read the
+    re-derived groups through a view of their changed membership; all of
+    it must keep every preview equal to the full recompute, leave a
+    rejected move without trace and commit an accepted one in place."""
 
     @pytest.mark.parametrize("structure", ["pst", "sig", "dff"])
     def test_previews_match_full_recompute(self, structure):
@@ -288,14 +290,19 @@ class TestPreviewFastPaths:
                     if not free:
                         continue
                     changed = {rng.choice(states): rng.choice(free)}
+                before = _decomposition(scored)
                 estimate, patch = scored.preview({s: int(c, 2) for s, c in changed.items()})
+                assert _decomposition(scored) == before  # previews mutate nothing
                 trial_codes = dict(codes)
                 trial_codes.update(changed)
                 expected = estimate_product_terms(
                     fsm, StateEncoding(width, trial_codes), lfsr, structure
                 )
                 assert estimate == expected, (trial, structure)
-                for (_, outputs, excitation), members in patch.groups.items():
+                fresh = ScoredEncoding(fsm, StateEncoding(width, trial_codes), lfsr, structure)
+                for key in patch.counts:
+                    _, outputs, excitation = key
+                    members = fresh.groups.get(key, {})
                     if excitation == 0 and "1" not in outputs:
                         silent += bool(members)
                     elif len(members) == 1:
@@ -304,6 +311,9 @@ class TestPreviewFastPaths:
                     scored.commit(patch)
                     codes = trial_codes
                     assert scored.estimate == expected
+                    # The in-place commit leaves exactly the decomposition
+                    # of a from-scratch build (plus emptied groups at 0).
+                    assert _decomposition(scored) == _decomposition(fresh)
         # Both shortcuts of the group count were taken.
         assert singles and silent
 
@@ -329,6 +339,13 @@ class TestPreviewFastPaths:
         assert scored.estimate == estimate_product_terms(
             small_controller, encoding, LFSR.with_primitive_polynomial(16), "pst"
         )
+
+
+def _decomposition(scored):
+    """The non-empty groups (members in transition order) and their counts."""
+    groups = {key: sorted(members.items()) for key, members in scored.groups.items() if members}
+    counts = {key: scored.counts[key] for key in groups}
+    return groups, counts, scored.total, dict(scored.codes)
 
 
 class TestSwapCandidateBounding:

@@ -23,7 +23,35 @@ from repro.flow import (
     fsm_digest,
     run_flow,
 )
+from repro.flow.config import _MISR_ASSIGN_KEYS
 from repro.fsm import load_benchmark, write_kiss_file
+
+#: A valid non-default value for each knob that only the MISR assignment of
+#: PST/SIG reads.  DFF (MUSTANG) and PAT assign from ``width`` alone, so
+#: none of these may change a DFF/PAT artifact or its cache key.
+MISR_ONLY_CHANGES = {
+    "seed": 7,
+    "beam_width": 2,
+    "partitions_per_column": 3,
+    "assignment_engine": "reference",
+    "multi_start": 2,
+    "max_polynomials": 3,
+    "input_weight": 0,
+    "output_weight": 3,
+}
+
+CACHED_STAGES = ("assign", "excite", "minimize", "faultsim")
+
+
+def _behaviour(result: FlowResult) -> dict:
+    """A FlowResult's dict minus its config, wall-clock and cache-hit fields."""
+    data = json.loads(json.dumps(result.to_dict()))
+    data.pop("config")
+    data.pop("total_seconds")
+    for stage in data["stages"]:
+        stage.pop("seconds")
+        stage.pop("cached")
+    return data
 
 
 # --------------------------------------------------------------- FlowConfig
@@ -81,6 +109,41 @@ class TestFlowConfig:
         reseeded = base.replace(seed=9)
         assert base.stage_digest("assign") != reseeded.stage_digest("assign")
         assert base.stage_digest("minimize") != reseeded.stage_digest("minimize")
+        # ... but the MISR-only knobs key the MISR structures alone: every
+        # DFF/PAT stage (shard keys derive from the faultsim digest) ignores
+        # them, and every PST/SIG stage changes with each of them.
+        assert set(MISR_ONLY_CHANGES) == set(_MISR_ASSIGN_KEYS)
+        for structure in ("DFF", "PAT", "PST", "SIG"):
+            config = base.replace(structure=structure, fault_patterns=256, faultsim_shards=2)
+            shared = structure in ("DFF", "PAT")
+            for field, value in MISR_ONLY_CHANGES.items():
+                perturbed = config.replace(**{field: value})
+                for stage in CACHED_STAGES:
+                    same = config.stage_digest(stage) == perturbed.stage_digest(stage)
+                    assert same == shared, (structure, field, stage)
+        # DFF/PAT stages still key on the structure, the width and every
+        # knob of their own and later stages.
+        dff = base.replace(structure="DFF", fault_patterns=256)
+        for changes in ({"structure": "PAT"}, {"width": 5}):
+            assert dff.stage_digest("assign") != dff.replace(**changes).stage_digest("assign")
+        for field, stage in (("espresso_iterations", "minimize"), ("fault_seed", "faultsim")):
+            changed = dff.replace(**{field: 1})
+            assert dff.stage_digest(stage) != changed.stage_digest(stage), field
+
+    @pytest.mark.parametrize("structure", ["DFF", "PAT"])
+    @pytest.mark.parametrize("machine", ["dk512", "ex4", "mark1", "dk16"])
+    def test_misr_only_knobs_do_not_change_dff_pat_results(self, machine, structure):
+        """The digest exclusion is proven, not trusted: uncached runs with
+        each MISR-only knob perturbed produce the identical result."""
+        config = FlowConfig(structure=structure, fault_patterns=256)
+        reference = _behaviour(run_flow(machine, config))
+        assert reference["metrics"]["fault_detected"] > 0
+        for field, value in MISR_ONLY_CHANGES.items():
+            perturbed = config.replace(**{field: value})
+            for stage in CACHED_STAGES:
+                assert perturbed.stage_digest(stage) == config.stage_digest(stage)
+            result = _behaviour(run_flow(machine, perturbed))
+            assert result == reference, (machine, structure, field)
 
     def test_stage_digest_unknown_stage(self):
         with pytest.raises(ValueError, match="no cache digest"):
@@ -339,6 +402,47 @@ class TestSweep:
             dict(r.metrics) for r in cold.results
         ]
         assert warm.baselines["dk512"].cached
+
+    def test_dff_pat_stages_are_shared_across_seeds(self, tmp_path):
+        """Each DFF/PAT stage is written once per machine, whatever the
+        number of seeds; PST stages once per seed.  The shared artifacts
+        give the same sweep as an uncached run."""
+        config = FlowConfig(fault_patterns=256)
+        grid = dict(structures=("DFF", "PAT", "PST"), seeds=(1, 2, 3), config=config)
+        cached = Sweep(self.NAMES, cache=ArtifactCache(tmp_path / "cache"), **grid).run()
+        machines, seeds = len(self.NAMES), 3
+        stages = len(CACHED_STAGES)
+        assert cached.cache_stats["writes"] == machines * (2 + seeds) * stages
+        assert cached.cache_stats["hits"] == machines * 2 * (seeds - 1) * stages
+        for result in cached.results:
+            first_seed = result.config["seed"] == 1
+            if result.structure != "PST" and not first_seed:
+                assert result.all_cached, (result.fsm, result.structure)
+            else:
+                assert not any(s.cached for s in result.cacheable_stages)
+        uncached = Sweep(self.NAMES, **grid).run()
+        assert [_behaviour(r) for r in cached.results] == [
+            _behaviour(r) for r in uncached.results
+        ]
+        assert [r.config for r in cached.results] == [r.config for r in uncached.results]
+
+    def test_dff_pat_shard_artifacts_are_shared_across_seeds(self, tmp_path):
+        config = FlowConfig(fault_patterns=256, faultsim_shards=2)
+        grid = dict(structures=("DFF", "PAT", "PST"), seeds=(1, 2, 3), config=config)
+        cached = Sweep(self.NAMES, cache=ArtifactCache(tmp_path / "cache"), **grid).run()
+        # Per (machine, structure, seed) computed: assign, excite, minimize,
+        # two shards and the merged faultsim stage.
+        machines, seeds = len(self.NAMES), 3
+        assert cached.cache_stats["writes"] == machines * (2 + seeds) * 6
+        shards = [c for c in cached.executor["cells"] if c["kind"] == "faultsim-shard"]
+        assert len(shards) == machines * 3 * seeds * 2
+        for shard in shards:
+            shared = shard["structure"] != "PST" and shard["seed"] != 1
+            assert shard["cached"] == shared, shard
+        uncached = Sweep(self.NAMES, **grid).run()
+        assert [_behaviour(r) for r in cached.results] == [
+            _behaviour(r) for r in uncached.results
+        ]
 
     def test_round_trip(self):
         sweep = Sweep(["dk512"], structures=("PST",), random_trials=1).run()
