@@ -10,13 +10,16 @@ rather than in-process threads.  It runs three checks:
    workers, with a seeded :class:`repro.flow.FaultPlan` crashing one
    worker mid-cell (``os._exit``), corrupting one result upload, and
    injecting network faults on both sides of the wire (client
-   ``net-drop``/``net-corrupt``, coordinator ``net-5xx``); the merged
-   sweep must be *bit-identical* to the serial baseline.
+   ``net-drop``/``net-corrupt``, coordinator ``net-5xx`` on result
+   uploads and on the first try of every batched cache exchange); the
+   merged sweep must be *bit-identical* to the serial baseline.
 2. **Remote cache tier** — a second client run, against a fresh worker
    with an empty local cache, must serve every stage from the
    coordinator's content-addressed cache: zero stage recomputation,
    verified from the result's aggregated cache counters and the
-   coordinator's ``/api/v1/stats`` document.
+   coordinator's ``/api/v1/stats`` document, whose request and
+   connection totals must also show that the fleet reuses its
+   connections.
 3. **Poison degradation** — a deterministic stage error on one cell
    must quarantine it coordinator-side and degrade the sweep to a
    structured ``status: "partial"`` result with every healthy cell
@@ -163,6 +166,8 @@ def main() -> int:
                   attempts=(1,)),
         FaultRule(kind="net-5xx", match="POST /api/v1/results",
                   attempts=(1,)),
+        FaultRule(kind="net-5xx", match="POST /api/v1/cache",
+                  attempts=(1,)),
         FaultRule(kind="net-drop", match="POST /api/v1/runs", attempts=(1,)),
         FaultRule(kind="net-corrupt", match="GET /api/v1/runs/*",
                   attempts=(1,)),
@@ -260,6 +265,11 @@ def main() -> int:
                 and stats["cache"].get("hits", 0) > 0,
                 f"schema={stats.get('schema')} "
                 f"cache_hits={stats.get('cache', {}).get('hits')}")
+    counters = stats.get("counters", {})
+    requests, connections = counters.get("requests", 0), counters.get("connections", 0)
+    ok &= check(report, "connections-reused",
+                requests > 0 and 0 < connections * 4 <= requests,
+                f"{requests} request(s) over {connections} connection(s)")
 
     # Graceful shutdown: the stop signal drains the connected worker.
     request_with_retry(f"{url}/api/v1/stop", "POST", tries=5)

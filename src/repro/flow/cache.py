@@ -25,7 +25,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import chaos
 
@@ -151,6 +151,14 @@ class ArtifactCache:
         """Store ``payload`` under ``key`` (atomic replace); counts a write."""
         self._store_local(key, payload)
         self.writes += 1
+
+    def warm(self, keys: Iterable[str]) -> int:
+        """Prefetch ``keys`` from a remote tier; the local store has none."""
+        return 0
+
+    def flush(self) -> int:
+        """Push queued writes to a remote tier; local writes are already durable."""
+        return 0
 
     def _store_local(self, key: str, payload: Mapping[str, Any]) -> None:
         """Store ``payload`` under ``key`` without write accounting.

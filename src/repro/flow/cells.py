@@ -34,7 +34,7 @@ import json
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional
 
 from ..bist.structures import BISTStructure
 from ..bist.synthesis import synthesize
@@ -43,8 +43,8 @@ from ..fsm.kiss import parse_kiss
 from ..fsm.machine import FSM
 from . import chaos
 from .cache import ArtifactCache, artifact_key
-from .config import FlowConfig
-from .pipeline import fsm_digest, run_faultsim_shard, run_flow
+from .config import MINIMIZER_KEYS, FlowConfig
+from .pipeline import fsm_digest, run_faultsim_shard, run_flow, stage_keys
 
 __all__ = [
     "BaselineResult",
@@ -215,6 +215,13 @@ def run_cell(
     every out-of-process worker uses).  ``attempt`` is the execution's
     1-based attempt number — it keys chaos injection decisions, which is
     what makes injected transient faults transient.
+
+    A flow or shard cell prefetches every stage artifact it can read with
+    one :meth:`~repro.flow.cache.ArtifactCache.warm` call, and whatever
+    the cell wrote is pushed with one ``flush()`` before the outcome is
+    built — also when the cell fails — so with a remote tier a cell costs
+    one cache exchange each way and its artifacts reach the coordinator
+    before its result does.
     """
     if fsm is None:
         fsm = rebuild_fsm(task)
@@ -230,31 +237,13 @@ def run_cell(
     before = dict(cache.stats) if cache is not None else None
     config = FlowConfig.from_dict(task["config"])
     hook = _stage_hook_for(task, attempt)
-    if task["kind"] == "flow":
-        result = run_flow(fsm, config, cache=cache, stage_hook=hook).to_dict()
-    elif task["kind"] == "faultsim-shard":
-        # One fault-range shard of a parent flow cell's faultsim stage.
-        # The detection data itself travels through the content-addressed
-        # cache (shared queue dir / coordinator tier), not the outcome —
-        # the parent cell's merge finds it by shard artifact key.
-        payload, cached = run_faultsim_shard(
-            fsm, config, cache=cache,
-            shard_index=int(task["shard_index"]), stage_hook=hook,
-        )
-        result = {
-            "shard_index": int(task["shard_index"]),
-            "shard_count": int(task["shard_count"]),
-            "parent_cell": task.get("parent_cell"),
-            "cached": cached,
-            "metrics": payload["metrics"],
-        }
-    else:
-        if hook is not None:
-            # Baselines are a single stage; one boundary check suffices.
-            hook("baseline")
-        result = _random_baseline(
-            fsm, config, cache, trials=task["trials"], random_seed=task["random_seed"]
-        ).to_dict()
+    try:
+        if cache is not None and task["kind"] != "baseline":
+            cache.warm(_stage_keys_of(fsm, config))
+        result = _execute(task, fsm, config, cache, hook)
+    finally:
+        if cache is not None:
+            cache.flush()
     outcome: Dict[str, Any] = {
         "kind": task["kind"],
         "cell": task.get("cell"),
@@ -269,6 +258,49 @@ def run_cell(
     else:
         outcome["cache_stats"] = None
     return outcome
+
+
+def _stage_keys_of(fsm: FSM, config: FlowConfig) -> Iterator[str]:
+    """The cell's stage keys, derived only when a cache iterates them.
+
+    A local :class:`~repro.flow.cache.ArtifactCache` has nothing to
+    prefetch and never iterates, so an in-process cell pays no digests.
+    """
+    yield from stage_keys(fsm, config).values()
+
+
+def _execute(
+    task: Mapping[str, Any],
+    fsm: FSM,
+    config: FlowConfig,
+    cache: Optional[ArtifactCache],
+    hook: Optional[Callable[[str], None]],
+) -> Dict[str, Any]:
+    """The cell's work by kind; returns its serialized result."""
+    if task["kind"] == "flow":
+        return run_flow(fsm, config, cache=cache, stage_hook=hook).to_dict()
+    if task["kind"] == "faultsim-shard":
+        # One fault-range shard of a parent flow cell's faultsim stage.
+        # The detection data itself travels through the content-addressed
+        # cache (shared queue dir / coordinator tier), not the outcome —
+        # the parent cell's merge finds it by shard artifact key.
+        payload, cached = run_faultsim_shard(
+            fsm, config, cache=cache,
+            shard_index=int(task["shard_index"]), stage_hook=hook,
+        )
+        return {
+            "shard_index": int(task["shard_index"]),
+            "shard_count": int(task["shard_count"]),
+            "parent_cell": task.get("parent_cell"),
+            "cached": cached,
+            "metrics": payload["metrics"],
+        }
+    if hook is not None:
+        # Baselines are a single stage; one boundary check suffices.
+        hook("baseline")
+    return _random_baseline(
+        fsm, config, cache, trials=task["trials"], random_seed=task["random_seed"]
+    ).to_dict()
 
 
 def run_cell_safe(
@@ -305,14 +337,21 @@ def _random_baseline(
     trials: int,
     random_seed: int,
 ) -> BaselineResult:
-    """Average/best product terms over random PST encodings (Table 2)."""
+    """Average/best product terms over random PST encodings (Table 2).
+
+    The encodings come from ``random_seed`` at the minimum width, and
+    :func:`~repro.bist.synthesis.synthesize` with a given encoding reads
+    nothing of the configuration but the minimiser knobs, so the cache
+    key hashes those, ``trials`` and ``random_seed`` — never the
+    assignment knobs (``seed`` among them).
+    """
     lookup_start = time.perf_counter()
     key = None
     if cache is not None:
         config_digest = hashlib.sha256(
             json.dumps(
                 {
-                    "minimize": config.replace(structure="PST").stage_digest("minimize"),
+                    "minimizer": {name: getattr(config, name) for name in MINIMIZER_KEYS},
                     "trials": trials,
                     "random_seed": random_seed,
                 },

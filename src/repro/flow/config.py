@@ -17,7 +17,10 @@ count), fault-simulation knobs do not invalidate cached assignment or
 minimisation artifacts, and the knobs of the MISR state assignment
 (``seed``, ``beam_width``, ...) are hashed only for the PST and SIG
 structures that run it: the DFF and PAT assigners read nothing but
-``width``, so their artifacts are shared across seeds.
+``width``, so their artifacts are shared across seeds.  The assign stage
+hashes its assigner (MUSTANG, PAT or MISR) in place of the structure, so
+PST and SIG, which call the MISR assigner identically, share one
+assignment artifact.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from ..bist.synthesis import SynthesisOptions
 __all__ = [
     "FlowConfig",
     "FLOW_STAGES",
+    "MINIMIZER_KEYS",
     "add_flow_arguments",
     "config_from_args",
 ]
@@ -52,6 +56,16 @@ _VALID_STRUCTURES = tuple(s.value for s in BISTStructure)
 _VALID_ASSIGNMENT_ENGINES = ("incremental", "reference")
 _VALID_FAULT_ENGINES = ("compiled", "legacy")
 
+# The state assigner each structure runs (``bist.synthesis.assign_states``).
+# The assign stage digests the assigner, not the structure: PST and SIG
+# call the MISR assigner with identical arguments.
+_ASSIGNERS: Dict[str, str] = {
+    BISTStructure.DFF.value: "mustang",
+    BISTStructure.PAT.value: "pat",
+    BISTStructure.PST.value: "misr",
+    BISTStructure.SIG.value: "misr",
+}
+
 # Fields that influence each (cacheable) stage's output.  Later stages
 # include everything earlier stages depend on, so a stage digest implicitly
 # chains through its upstream configuration.  The MISR-assignment fields
@@ -68,15 +82,17 @@ _MISR_ASSIGN_KEYS = (
     "input_weight",
     "output_weight",
 )
-_MISR_STRUCTURES = frozenset({BISTStructure.PST.value, BISTStructure.SIG.value})
+_MISR_STRUCTURES = frozenset(s for s, assigner in _ASSIGNERS.items() if assigner == "misr")
 _ASSIGN_KEYS = ("structure", "width") + _MISR_ASSIGN_KEYS
 _EXCITE_KEYS = _ASSIGN_KEYS
-_MINIMIZE_KEYS = _EXCITE_KEYS + (
+#: The two-level minimiser's own knobs (``bist.synthesis.minimize_excitation``).
+MINIMIZER_KEYS = (
     "minimize_method",
     "espresso_iterations",
     "tautology_budget",
     "quick_threshold",
 )
+_MINIMIZE_KEYS = _EXCITE_KEYS + MINIMIZER_KEYS
 _FAULTSIM_KEYS = _MINIMIZE_KEYS + (
     "engine",
     "word_width",
@@ -231,7 +247,8 @@ class FlowConfig:
         ``jobs`` never participates (parallelism is result-identical), a
         stage's digest is insensitive to knobs of later stages — changing
         ``fault_patterns`` keeps cached assignment/minimisation artifacts
-        valid — and the MISR-assignment knobs count only for PST and SIG.
+        valid — the MISR-assignment knobs count only for PST and SIG, and
+        the assign stage keys on the assigner rather than the structure.
         """
         try:
             keys = _STAGE_KEYS[stage]
@@ -241,7 +258,10 @@ class FlowConfig:
             ) from None
         if self.structure not in _MISR_STRUCTURES:
             keys = tuple(key for key in keys if key not in _MISR_ASSIGN_KEYS)
-        return _digest({key: getattr(self, key) for key in keys})
+        values = {key: getattr(self, key) for key in keys}
+        if stage == "assign":
+            values["assigner"] = _ASSIGNERS[values.pop("structure")]
+        return _digest(values)
 
 
 def _digest(data: Mapping[str, Any]) -> str:

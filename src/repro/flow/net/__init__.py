@@ -1,6 +1,6 @@
 """Synthesis-as-a-service: the HTTP coordinator path of the sweep layer.
 
-Stdlib-only (``asyncio`` + ``urllib``) networking that lets the
+Stdlib-only (``asyncio`` + ``http.client``) networking that lets the
 distributed sweep span hosts without a shared filesystem:
 
 * :mod:`~repro.flow.net.coordinator` — the ``repro serve`` asyncio HTTP
@@ -10,7 +10,7 @@ distributed sweep span hosts without a shared filesystem:
   (``Sweep(backend="http", coordinator_url=...)``) and the
   ``repro worker --url`` fleet loop,
 * :mod:`~repro.flow.net.cache` — :class:`RemoteCache`, the read-through
-  local tier over the coordinator's cache endpoints,
+  local tier over the coordinator's batched cache exchange,
 * :mod:`~repro.flow.net.protocol` — the signed-JSON wire protocol
   (schema ``repro.net/1``) and its chaos seams.
 """

@@ -1,17 +1,27 @@
 """Remote artifact-cache tier shared by a whole fleet (read-through).
 
 :class:`RemoteCache` is an :class:`~repro.flow.cache.ArtifactCache` whose
-local directory fronts the coordinator's content-addressed cache
-endpoints: a local miss falls through to ``GET /api/v1/cache/<key>``, a
-remote hit is stored locally (read-through populate, counted as part of
-the read rather than as a write) so the next lookup never leaves the
-host, and every write is pushed back with ``PUT`` so other workers and
-clients see it.
+local directory fronts the coordinator's content-addressed cache tier.
+Every remote operation is one batched ``POST /api/v1/cache`` exchange
+(``{"get": [keys], "put": {key: payload}}`` answered by ``{"found":
+{...}}``):
+
+* :meth:`~RemoteCache.warm` asks for a batch of keys in one exchange and
+  stores what the coordinator found in the local tier (read-through
+  populate, counted as part of the read rather than as a write); the keys
+  it reported absent are remembered and never asked for again;
+* a local miss on any other key falls through to a one-key exchange;
+* :meth:`~RemoteCache.put` stores locally and queues the push, and
+  :meth:`~RemoteCache.flush` pushes the queue in one exchange, so other
+  workers and clients see the artifacts once it returns.
+
+A fleet cell (:func:`~repro.flow.cells.run_cell`) therefore costs one
+exchange before its flow and one after it.
 
 The failure posture is strictly *degrade to local*: the remote tier can
 only ever add hits.  A corrupt download (failed sha256 envelope, torn
 body, chaos ``net-corrupt``) is a counted miss, never trusted; an
-unreachable coordinator makes ``get`` a plain local cache and ``put``
+unreachable coordinator makes ``get`` a plain local cache and ``flush``
 best-effort.  No code path raises out of the cache because of the
 network — cache failures must never fail a cell.
 """
@@ -19,15 +29,10 @@ network — cache failures must never fail a cell.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from ..cache import ArtifactCache
-from .protocol import (
-    CoordinatorError,
-    IntegrityError,
-    NotFoundError,
-    request_with_retry,
-)
+from .protocol import CoordinatorError, IntegrityError, NotFoundError, request_with_retry
 
 __all__ = ["RemoteCache"]
 
@@ -64,83 +69,104 @@ class RemoteCache(ArtifactCache):
         self.remote_misses = 0
         #: Downloads dropped by the integrity check (= served as misses).
         self.remote_corrupt = 0
-        #: Remote operations abandoned on transport/server failures.
+        #: Remote exchanges abandoned on transport/server failures.
         self.remote_errors = 0
-
-    def _endpoint(self, key: str) -> str:
-        return f"{self.url}/api/v1/cache/{key}"
+        # Keys the coordinator reported absent, and writes not yet pushed.
+        self._absent: Set[str] = set()
+        self._unpushed: Dict[str, Dict[str, Any]] = {}
 
     # ----------------------------------------------------------------- tiers
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Local tier first, then the coordinator; ``None`` only when both miss."""
         payload = self._load_local(key)
-        if payload is not None:
-            self.hits += 1
-            return payload
-        payload = self._remote_get(key)
-        if payload is not None:
-            self.remote_hits += 1
-            self.hits += 1
-            # Read-through populate: the next lookup is a local hit.  The
-            # local tier's bound still applies; nothing is re-uploaded, and
-            # the copy is part of this read, so it counts no write.
-            self._store_local(key, payload)
-            return payload
-        self.misses += 1
-        return None
-
-    def _remote_get(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            envelope = request_with_retry(
-                self._endpoint(key), "GET", timeout=self.timeout, tries=self.tries
-            )
-        except NotFoundError:
-            self.remote_misses += 1
+        if payload is None and key not in self._absent:
+            payload = self._fetch([key]).get(key)
+        if payload is None:
+            self.misses += 1
             return None
-        except IntegrityError:
-            # Corrupt download = miss: recomputing the stage is always
-            # correct, trusting a torn artifact never is.
-            self.remote_corrupt += 1
-            return None
-        except CoordinatorError:
-            self.remote_errors += 1
-            return None
-        payload = envelope.get("payload")
-        if envelope.get("key") != key or not isinstance(payload, dict):
-            self.remote_corrupt += 1
-            return None
+        self.hits += 1
         return payload
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Store locally, then push to the coordinator (best-effort)."""
+        """Store locally and queue the push for the next :meth:`flush`."""
         super().put(key, payload)
-        try:
-            request_with_retry(
-                self._endpoint(key),
-                "PUT",
-                body={"key": key, "payload": dict(payload)},
-                timeout=self.timeout,
-                tries=self.tries,
-            )
-        except CoordinatorError:
-            # Covers transport, 5xx and integrity failures alike: the
-            # local artifact is durable either way, and a later worker
-            # will re-push the same content address.
-            self.remote_errors += 1
+        self._unpushed[key] = dict(payload)
 
-    # ------------------------------------------------------------------ misc
-    def warm(self, keys: Any) -> int:
-        """Pull a batch of keys into the local tier; returns hits fetched."""
-        fetched = 0
+    def warm(self, keys: Iterable[str]) -> int:
+        """Pull a batch of keys into the local tier in one exchange.
+
+        Returns the number of artifacts fetched.  Keys already held
+        locally or reported absent before are not asked for.
+        """
+        wanted = [
+            key for key in dict.fromkeys(keys)
+            if key not in self._absent and self._load_local(key) is None
+        ]
+        return len(self._fetch(wanted)) if wanted else 0
+
+    def flush(self) -> int:
+        """Push every queued write in one exchange; returns the number pushed.
+
+        A failed push counts one ``remote_errors`` and drops the queue:
+        the local artifacts stay, and a later worker re-pushes the same
+        content addresses.
+        """
+        if not self._unpushed:
+            return 0
+        batch, self._unpushed = self._unpushed, {}
+        try:
+            self._exchange({"put": batch})
+        except CoordinatorError:
+            # Transport, 5xx and integrity failures alike: the local
+            # artifacts are durable either way.
+            self.remote_errors += 1
+            return 0
+        return len(batch)
+
+    # ------------------------------------------------------------- transport
+    def _exchange(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """One ``POST /api/v1/cache`` round trip; the verified response."""
+        return request_with_retry(
+            f"{self.url}/api/v1/cache", "POST", body=body,
+            timeout=self.timeout, tries=self.tries,
+        )
+
+    def _fetch(self, keys: List[str]) -> Dict[str, Dict[str, Any]]:
+        """Ask the coordinator for ``keys``; store and return what it found.
+
+        Found artifacts are copied into the local tier (a read-through
+        populate: part of the read, so no write is counted); keys the
+        coordinator reported absent are remembered.
+        """
+        try:
+            found = self._exchange({"get": keys}).get("found")
+        except NotFoundError:
+            found = {}  # a coordinator without a cache tier holds nothing
+        except IntegrityError:
+            found = None
+        except CoordinatorError:
+            self.remote_errors += 1
+            return {}
+        if not isinstance(found, dict):
+            # Corrupt download = miss: recomputing the stage is always
+            # correct, trusting a torn artifact never is.
+            self.remote_corrupt += 1
+            return {}
+        fetched: Dict[str, Dict[str, Any]] = {}
         for key in keys:
-            if self._load_local(key) is not None:
-                continue
-            payload = self._remote_get(key)
-            if payload is not None:
+            payload = found.get(key)
+            if payload is None:
+                self.remote_misses += 1
+                self._absent.add(key)
+            elif isinstance(payload, dict):
+                self.remote_hits += 1
                 self._store_local(key, payload)
-                fetched += 1
+                fetched[key] = payload
+            else:
+                self.remote_corrupt += 1
         return fetched
 
+    # ------------------------------------------------------------------ misc
     @property
     def stats(self) -> Dict[str, int]:
         data = super().stats

@@ -36,6 +36,7 @@ from .protocol import (
     NET_SCHEMA,
     CoordinatorError,
     check_schema,
+    close_connections,
     request,
     request_with_retry,
 )
@@ -91,6 +92,13 @@ class HttpExecutor(SweepExecutor):
     ) -> ExecutionReport:
         if not tasks:
             return ExecutionReport(outcomes=[], backend=self.name, workers=0)
+        try:
+            return self._execute(tasks)
+        finally:
+            close_connections()
+
+    def _execute(self, tasks: Sequence[Mapping[str, Any]]) -> ExecutionReport:
+        """Submit, poll to completion and collect one run (one connection)."""
         # Identity, never content: the nonce only names this submission on
         # the coordinator so a resubmitted batch is a distinct run.
         run_id = self.run_id or f"run-{uuid.uuid4().hex[:12]}"  # repro: allow-determinism
@@ -199,21 +207,24 @@ def _http_heartbeat(
     the first beats — the chaos harness's GC-pause stand-in.
     """
     stalled_until = time.monotonic() + stall_seconds
-    while not done.wait(interval):
-        if time.monotonic() < stalled_until:
-            continue
-        try:
-            response = request(
-                f"{url}/api/v1/heartbeat",
-                "POST",
-                body={"worker": wid, "cell": cid},
-                timeout=10.0,
-            )
-        except CoordinatorError:  # repro: allow-swallowed-exception -- a missed beat is recoverable by design; the next beat retries and the lease survives transient faults
-            continue
-        if not response.get("ok"):
-            lost.set()
-            return
+    try:
+        while not done.wait(interval):
+            if time.monotonic() < stalled_until:
+                continue
+            try:
+                response = request(
+                    f"{url}/api/v1/heartbeat",
+                    "POST",
+                    body={"worker": wid, "cell": cid},
+                    timeout=10.0,
+                )
+            except CoordinatorError:  # repro: allow-swallowed-exception -- a missed beat is recoverable by design; the next beat retries and the lease survives transient faults
+                continue
+            if not response.get("ok"):
+                lost.set()
+                return
+    finally:
+        close_connections()
 
 
 def run_http_worker(
@@ -400,6 +411,7 @@ def run_http_worker(
             )
         except CoordinatorError:  # repro: allow-swallowed-exception -- deregistration is a courtesy; the coordinator ages out silent workers from /stats either way
             pass
+        close_connections()
     emit(f"[{wid}] exiting ({stats.stopped_by}): {stats.cells} cell(s), "
          f"{stats.failures} failure(s), {stats.busy_seconds:.2f}s busy")
     return stats

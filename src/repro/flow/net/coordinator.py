@@ -15,8 +15,9 @@ The protocol is the queue backend's lease/retry loop lifted onto HTTP::
     POST   /api/v1/heartbeat       worker: renew a claim lease
     POST   /api/v1/results?cell=   worker: upload one signed outcome
     POST   /api/v1/workers/register | /api/v1/workers/deregister
-    GET    /api/v1/cache/<key>     content-addressed artifact GET
-    PUT    /api/v1/cache/<key>     content-addressed artifact PUT
+    POST   /api/v1/cache           batched artifact exchange:
+                                   {"get": [keys], "put": {key: payload}}
+                                   -> {"found": {key: payload}}
     GET    /api/v1/stats (alias /stats)   machine-readable counters
     POST   /api/v1/stop            fleet teardown: claims answer ``stop: true``
 
@@ -34,19 +35,24 @@ The server is a deliberately small stdlib-only HTTP/1.1 implementation
 over ``asyncio.start_server``: requests are JSON round trips of a few KB,
 one event loop owns all coordinator state (no locks), and the two
 server-side chaos seams (``net-5xx``, ``net-slow``) sit in the one
-request funnel.
+request funnel.  Connections are persistent: a connection serves
+requests until the client closes it or sends ``Connection: close``, and
+stopping the coordinator closes idle connections and lets busy ones
+finish their reply first.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import re
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .. import chaos
 from ..backends.queue import RetryPolicy, _same_error, sign_payload, verify_payload
@@ -59,6 +65,11 @@ __all__ = ["Coordinator", "CoordinatorHandle", "run_coordinator"]
 #: after ``max_attempts * factor`` total submissions, whatever the retry
 #: policy says, so an adversarial always-corrupt fault cannot loop forever.
 _HARD_CAP_FACTOR = 4
+
+#: Shape of an artifact key (a sha256 hex digest, see
+#: :func:`~repro.flow.cache.artifact_key`); anything else never reaches
+#: the store, whose file layout is derived from the key.
+_ARTIFACT_KEY = re.compile(r"[0-9a-f]{64}")
 
 #: Reason phrases of the statuses the coordinator actually emits.
 _REASONS = {
@@ -118,7 +129,7 @@ class Coordinator:
         host / port: bind address (``port=0`` picks a free port; the
             bound port is available as :attr:`port` after startup).
         cache_dir: directory of the served artifact-cache tier (``None``
-            disables the ``/api/v1/cache`` endpoints with 404s).
+            disables the ``/api/v1/cache`` endpoint with 404s).
         lease_timeout: default lease window for runs that do not bring
             their own.
         sweep_interval: period of the lease-expiry/backoff sweeper task.
@@ -174,12 +185,19 @@ class Coordinator:
             "cache_gets": 0,
             "cache_puts": 0,
             "corrupt_cache_puts": 0,
+            "requests": 0,
+            "connections": 0,
         }
         self._server: Optional[asyncio.Server] = None
+        # Connection handler tasks, and the writers of those waiting for
+        # their next request (closed first on shutdown).
+        self._connections: Set["asyncio.Task[None]"] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     # ----------------------------------------------------------- state core
     def _tick(self) -> None:
-        """Expire stale leases and serve elapsed backoffs (every request)."""
+        """Expire stale leases and serve elapsed backoffs (the sweeper's beat)."""
         now = self._clock()
         for run in self._runs.values():
             for cid in run.ids:
@@ -436,28 +454,37 @@ class Coordinator:
                        f"(host {body.get('host', '?')}, pid {body.get('pid', '?')})")
         return 200, {"ok": True, "stop": self._stopping}
 
-    def _handle_cache_get(self, key: str) -> Tuple[int, Dict[str, Any]]:
-        if self.cache is None:
-            return 404, {"error": "coordinator has no cache tier"}
-        self._totals["cache_gets"] += 1
-        payload = self.cache.get(key)
-        if payload is None:
-            return 404, {"error": "miss", "key": key}
-        return 200, {"key": key, "payload": payload}
+    def _handle_cache(self, body: Optional[Dict[str, Any]]) -> Tuple[int, Dict[str, Any]]:
+        """One batched cache exchange: store ``put``, then look up ``get``.
 
-    def _handle_cache_put(
-        self, key: str, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
+        Puts land first, so an exchange that pushes and asks for one key
+        finds it.  A put that is not a dict under an artifact key is
+        counted in ``corrupt_cache_puts`` and never stored; so is an
+        exchange whose body failed its integrity check, which may have
+        carried puts.
+        """
         if self.cache is None:
             return 404, {"error": "coordinator has no cache tier"}
-        if body is None or body.get("key") != key or not isinstance(
-            body.get("payload"), dict
-        ):
+        gets = body.get("get", []) if body is not None else None
+        puts = body.get("put", {}) if body is not None else None
+        if not isinstance(gets, list) or not isinstance(puts, dict):
             self._totals["corrupt_cache_puts"] += 1
-            return 400, {"error": "corrupt cache upload"}
-        self._totals["cache_puts"] += 1
-        self.cache.put(key, body["payload"])
-        return 200, {"key": key, "stored": True}
+            return 400, {"error": "corrupt cache exchange"}
+        for key, payload in puts.items():
+            if not isinstance(payload, dict) or not _ARTIFACT_KEY.fullmatch(key):
+                self._totals["corrupt_cache_puts"] += 1
+                continue
+            self._totals["cache_puts"] += 1
+            self.cache.put(key, payload)
+        found: Dict[str, Any] = {}
+        for key in gets:
+            if not isinstance(key, str) or not _ARTIFACT_KEY.fullmatch(key):
+                continue
+            self._totals["cache_gets"] += 1
+            payload = self.cache.get(key)
+            if payload is not None:
+                found[key] = payload
+        return 200, {"found": found}
 
     def _handle_stats(self) -> Tuple[int, Dict[str, Any]]:
         now = self._clock()
@@ -502,7 +529,8 @@ class Coordinator:
         self, method: str, path: str, query: Dict[str, str],
         body: Optional[Dict[str, Any]],
     ) -> Tuple[int, Dict[str, Any]]:
-        self._tick()
+        # Leases and backoffs are served by the periodic sweeper, not here:
+        # a request costs no scan over every submitted cell.
         if path == "/api/v1/runs" and method == "POST":
             if body is None:
                 return 400, {"error": "corrupt submission payload"}
@@ -527,13 +555,8 @@ class Coordinator:
             return self._handle_register(body or {}, leaving=False)
         if path == "/api/v1/workers/deregister" and method == "POST":
             return self._handle_register(body or {}, leaving=True)
-        if path.startswith("/api/v1/cache/"):
-            key = path[len("/api/v1/cache/"):]
-            if method == "GET":
-                return self._handle_cache_get(key)
-            if method == "PUT":
-                return self._handle_cache_put(key, body)
-            return 405, {"error": f"{method} not allowed on {path}"}
+        if path == "/api/v1/cache" and method == "POST":
+            return self._handle_cache(body)
         if path in ("/api/v1/stats", "/stats") and method == "GET":
             return self._handle_stats()
         if path == "/api/v1/stop" and method == "POST":
@@ -546,21 +569,38 @@ class Coordinator:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one client connection until it closes (HTTP/1.1 keep-alive)."""
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections.add(task)
+        self._totals["connections"] += 1
         try:
-            status, payload = await self._serve_one(reader)
-            body = json.dumps(sign_payload(payload), separators=(",", ":")).encode("utf-8")
-            reason = _REASONS.get(status, "OK")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("ascii")
-            writer.write(head + body)
-            await writer.drain()
+            keep_alive = True
+            while keep_alive and not self._closing:
+                self._idle.add(writer)
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    self._idle.discard(writer)
+                if not request_line:
+                    break  # the client closed the connection between requests
+                status, payload, keep_alive = await self._serve_one(request_line, reader)
+                keep_alive = keep_alive and not self._closing
+                self._totals["requests"] += 1
+                body = json.dumps(sign_payload(payload), separators=(",", ":")).encode("utf-8")
+                head = (
+                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                    f"Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                    f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+                ).encode("ascii")
+                writer.write(head + body)
+                await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):  # repro: allow-swallowed-exception -- a client that hung up mid-request needs no response; its retry loop recovers
             pass
         finally:
+            if task is not None:
+                self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -568,13 +608,19 @@ class Coordinator:
                 pass
 
     async def _serve_one(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Dict[str, Any]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
+        self, request_line: bytes, reader: asyncio.StreamReader
+    ) -> Tuple[int, Dict[str, Any], bool]:
+        """Read the rest of one request and answer it.
+
+        Returns ``(status, payload, keep_alive)``; ``keep_alive`` is false
+        when the client asked to close (``Connection: close``, or HTTP/1.0
+        without keep-alive) or the request cannot be framed.
+        """
+        parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return 400, {"error": f"malformed request line {request_line!r}"}
+            return 400, {"error": f"malformed request line {request_line!r}"}, False
         method, target = parts[0].upper(), parts[1]
+        version = parts[2].upper() if len(parts) > 2 else "HTTP/1.0"
         headers: Dict[str, str] = {}
         while True:
             line = await reader.readline()
@@ -582,7 +628,14 @@ class Coordinator:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        connection = headers.get("connection", "").lower()
+        keep_alive = "close" not in connection and (
+            version == "HTTP/1.1" or "keep-alive" in connection
+        )
+        length_field = headers.get("content-length", "0") or "0"
+        if not length_field.isdigit():
+            return 400, {"error": f"bad Content-Length {length_field!r}"}, False
+        length = int(length_field)
         raw = await reader.readexactly(length) if length else b""
         path, _, query_string = target.partition("?")
         query: Dict[str, str] = {}
@@ -602,12 +655,13 @@ class Coordinator:
                 await asyncio.sleep(slow.seconds)
             if plan.decide("net-5xx", label, attempt) is not None:
                 self._emit(f"chaos: answering 500 for {label} (try {attempt})")
-                return 500, {"error": "chaos: injected server error"}
+                return 500, {"error": "chaos: injected server error"}, keep_alive
 
         body: Optional[Dict[str, Any]] = None
         if raw:
             body = self._parse_signed(raw)
-        return self._dispatch(method, path, query, body)
+        status, payload = self._dispatch(method, path, query, body)
+        return status, payload, keep_alive
 
     @staticmethod
     def _parse_signed(raw: bytes) -> Optional[Dict[str, Any]]:
@@ -639,9 +693,27 @@ class Coordinator:
         sweeper = asyncio.ensure_future(self._sweep_loop())
         try:
             async with self._server:
-                await self._server.serve_forever()
+                try:
+                    await self._server.serve_forever()
+                finally:
+                    await self.shutdown()
         finally:
-            sweeper.cancel()
+            await _cancelled(sweeper)
+
+    async def shutdown(self) -> None:
+        """Stop accepting, close idle connections, and wait for busy ones.
+
+        A connection waiting for its next request is closed at once; one
+        in the middle of a request answers it with ``Connection: close``
+        and then ends, so no handler is left to be cancelled.
+        """
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+        for writer in list(self._idle):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=5.0)
 
     async def _sweep_loop(self) -> None:
         """Expire leases even while no request is arriving."""
@@ -682,8 +754,9 @@ class CoordinatorHandle:
         try:
             async with self.coordinator._server:
                 await self._stop.wait()
+                await self.coordinator.shutdown()
         finally:
-            sweeper.cancel()
+            await _cancelled(sweeper)
 
     def start(self) -> "CoordinatorHandle":
         self._thread.start()
@@ -742,6 +815,13 @@ def run_coordinator(
         asyncio.run(_main())
     except KeyboardInterrupt:  # repro: allow-swallowed-exception -- Ctrl-C is the documented shutdown path of a foreground server
         pass
+
+
+async def _cancelled(task: "asyncio.Task[None]") -> None:
+    """Cancel a background task and wait until it has ended."""
+    task.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await task
 
 
 # Re-exported for socket-probing scripts that want a free port up front.

@@ -8,8 +8,11 @@ trusted, and the drop/resubmit recovery of the queue backend applies
 unchanged.
 
 The client transport (:func:`request`, :func:`request_with_retry`) is
-stdlib-only (``urllib.request``) and carries the two client-side chaos
-seams of the network fault model:
+stdlib-only (``http.client``).  It keeps one persistent HTTP/1.1
+connection per (thread, coordinator) — a worker's claim, cache exchange,
+result upload and next claim all travel over one socket — reconnects once
+when the coordinator has dropped an idle connection, and carries the two
+client-side chaos seams of the network fault model:
 
 * ``net-drop`` — the connection is dropped before the request is sent
   (the coordinator never sees it),
@@ -25,11 +28,13 @@ partition.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Mapping, Optional, Tuple
+from urllib.parse import urlsplit
 
 from .. import chaos
 from ..backends.queue import sign_payload, verify_payload
@@ -40,6 +45,7 @@ __all__ = [
     "CoordinatorError",
     "TransportError",
     "ServerError",
+    "close_connections",
     "NotFoundError",
     "IntegrityError",
     "request",
@@ -107,6 +113,42 @@ def _parse_response(raw: bytes) -> Dict[str, Any]:
     return payload
 
 
+#: Per-thread pool of persistent coordinator connections, keyed by netloc.
+_local = threading.local()
+
+#: Failures of a *reused* connection that mean the coordinator closed it
+#: while it sat idle (a restart, a stop, a dropped keep-alive): the request
+#: is sent once more on a fresh connection.  A fresh connection that fails
+#: is a :class:`TransportError` at once.
+_STALE_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    ConnectionAbortedError,
+    BrokenPipeError,
+)
+
+
+def _pool() -> Dict[str, http.client.HTTPConnection]:
+    pool: Optional[Dict[str, http.client.HTTPConnection]] = getattr(_local, "pool", None)
+    if pool is None:
+        pool = {}
+        _local.pool = pool
+    return pool
+
+
+def close_connections() -> None:
+    """Close the calling thread's persistent coordinator connections."""
+    pool = _pool()
+    for connection in pool.values():
+        connection.close()
+    pool.clear()
+
+
+# A forked child (the process-pool backend) must not talk over its
+# parent's sockets: it drops its copies and connects on its own.
+os.register_at_fork(after_in_child=close_connections)
+
+
 def request(
     url: str,
     method: str = "GET",
@@ -116,37 +158,49 @@ def request(
 ) -> Dict[str, Any]:
     """One signed JSON round trip to the coordinator.
 
-    ``url`` is the full endpoint URL.  Raises :class:`TransportError` on
-    connection failures, :class:`ServerError` on 5xx answers (both worth
-    retrying), :class:`IntegrityError` on corrupt response bodies, and
-    :class:`CoordinatorError` on 4xx protocol rejections (not retried —
-    the coordinator understood the request and said no).
+    ``url`` is the full endpoint URL.  The exchange reuses the calling
+    thread's connection to the URL's host.  Raises :class:`TransportError`
+    on connection failures, :class:`ServerError` on 5xx answers (both
+    worth retrying), :class:`IntegrityError` on corrupt response bodies,
+    and :class:`CoordinatorError` on 4xx protocol rejections (not retried
+    — the coordinator understood the request and said no).
     """
-    path = url.split("://", 1)[-1]
-    path = "/" + path.split("/", 1)[1] if "/" in path else "/"
-    # Strip the query string: chaos site labels address endpoints.
-    label = site_label(method, path.split("?", 1)[0])
+    parts = urlsplit(url)
+    path = parts.path or "/"
+    # The query string stays out of the label: chaos site labels address
+    # endpoints.
+    label = site_label(method, path)
+    if parts.scheme != "http" or not parts.netloc:
+        raise TransportError(f"{label}: unsupported coordinator URL {url!r}")
     plan = chaos.active_plan()
     if plan is not None and plan.decide("net-drop", label, attempt) is not None:
         raise TransportError(f"chaos: dropped connection for {label} (try {attempt})")
     data = signed_body(body) if body is not None else None
-    req = urllib.request.Request(
-        url,
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json", TRY_HEADER: str(attempt)},
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
+    headers = {"Content-Type": "application/json", TRY_HEADER: str(attempt)}
+    target = f"{path}?{parts.query}" if parts.query else path
+    pool = _pool()
+    connection = pool.get(parts.netloc)
+    reused = connection is not None
+    if connection is None:
+        connection = http.client.HTTPConnection(parts.netloc, timeout=timeout)
+        pool[parts.netloc] = connection
+    while True:
+        try:
+            connection.timeout = timeout
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout)
+            connection.request(method, target, body=data, headers=headers)
+            response = connection.getresponse()
             raw = response.read()
             status = int(response.status)
-    except urllib.error.HTTPError as exc:
-        raw = exc.read()
-        status = int(exc.code)
-    except urllib.error.URLError as exc:
-        raise TransportError(f"{label}: {exc.reason}") from exc
-    except OSError as exc:
-        raise TransportError(f"{label}: {exc}") from exc
+            break
+        except (http.client.HTTPException, OSError) as exc:
+            connection.close()
+            if reused and isinstance(exc, _STALE_ERRORS):
+                reused = False
+                continue
+            pool.pop(parts.netloc, None)
+            raise TransportError(f"{label}: {exc}") from exc
     if plan is not None and plan.decide("net-corrupt", label, attempt) is not None:
         raw = b'{"chaos": "corrupt http payload...'
     if status >= 500:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bist.excitation import ExcitationTable, derive_excitation
 from ..bist.structures import BISTStructure, structure_profile
@@ -47,7 +47,7 @@ from .cache import ArtifactCache, artifact_key, shard_artifact_key
 from .config import FlowConfig
 from .results import FlowResult, StageResult, jsonable
 
-__all__ = ["run_flow", "run_faultsim_shard", "fsm_digest", "resolve_fsm"]
+__all__ = ["run_flow", "run_faultsim_shard", "fsm_digest", "resolve_fsm", "stage_keys"]
 
 FSMSource = Union[FSM, str, Path]
 
@@ -62,6 +62,42 @@ def fsm_digest(fsm: FSM) -> str:
     """
     payload = f"{fsm.name}\n{','.join(fsm.states)}\n{write_kiss(fsm)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def stage_keys(fsm: FSM, cfg: FlowConfig) -> Dict[str, str]:
+    """The artifact key of every cacheable stage of one flow run.
+
+    ``assign``, ``excite`` and ``minimize`` always; ``faultsim`` when the
+    run simulates faults; and with ``faultsim_shards > 1`` one
+    ``faultsim:<index>/<count>`` key per fault-range shard.  The pipeline
+    reads and writes its artifacts under exactly these keys, and
+    :func:`~repro.flow.cells.run_cell` prefetches them from a remote tier
+    in one exchange.
+    """
+    return _stage_keys(fsm_digest(fsm), cfg)
+
+
+def _stage_keys(digest: str, cfg: FlowConfig) -> Dict[str, str]:
+    """:func:`stage_keys` of the machine with content digest ``digest``."""
+    keys = {
+        stage: artifact_key(digest, stage, cfg.stage_digest(stage))
+        for stage in ("assign", "excite", "minimize")
+    }
+    if cfg.fault_patterns is not None:
+        faultsim = cfg.stage_digest("faultsim")
+        keys["faultsim"] = artifact_key(digest, "faultsim", faultsim)
+        shards = cfg.faultsim_shards
+        if shards > 1:
+            for index in range(shards):
+                keys[_shard_stage(index, shards)] = shard_artifact_key(
+                    digest, "faultsim", faultsim, index, shards
+                )
+    return keys
+
+
+def _shard_stage(index: int, count: int) -> str:
+    """The :func:`stage_keys` entry of one faultsim shard."""
+    return f"faultsim:{index}/{count}"
 
 
 def resolve_fsm(source: FSMSource, data_dir: Optional[Union[str, Path]] = None) -> FSM:
@@ -198,23 +234,23 @@ class _Materializer:
 def _run_stage(
     name: str,
     cache: Optional[ArtifactCache],
-    digest: str,
-    config: FlowConfig,
+    keys: Mapping[str, str],
     compute: Callable[[], Dict[str, Any]],
 ) -> Tuple[Dict[str, Any], StageResult]:
-    """Serve one stage from the cache or compute (and store) its payload."""
+    """Serve one stage from the cache or compute (and store) its payload.
+
+    ``keys`` is the run's :func:`stage_keys` (empty without a cache).
+    """
     start = time.perf_counter()
-    key = None
     if cache is not None:
-        key = artifact_key(digest, name, config.stage_digest(name))
-        payload = cache.get(key)
+        payload = cache.get(keys[name])
         if payload is not None:
             seconds = time.perf_counter() - start
             return payload, StageResult(name, seconds, cached=True,
                                         metrics=payload.get("metrics", {}))
     payload = compute()
-    if cache is not None and key is not None:
-        cache.put(key, payload)
+    if cache is not None:
+        cache.put(keys[name], payload)
     seconds = time.perf_counter() - start
     return payload, StageResult(name, seconds, cached=False,
                                 metrics=payload.get("metrics", {}))
@@ -333,10 +369,7 @@ def run_faultsim_shard(
             f"{cfg.faultsim_shards} shard(s)"
         )
     fsm = resolve_fsm(source, data_dir=data_dir)
-    digest = fsm_digest(fsm)
-    key = shard_artifact_key(
-        digest, "faultsim", cfg.stage_digest("faultsim"), shard_index, cfg.faultsim_shards
-    )
+    key = stage_keys(fsm, cfg)[_shard_stage(shard_index, cfg.faultsim_shards)]
     if cache is not None:
         payload = cache.get(key)
         if payload is not None:
@@ -420,6 +453,7 @@ def run_flow(
         },
     ))
 
+    keys = _stage_keys(digest, cfg) if cache is not None else {}
     ctx = _Materializer(fsm, cfg)
 
     # assign — structure-specific state assignment.
@@ -440,7 +474,7 @@ def run_flow(
 
     if stage_hook is not None:
         stage_hook("assign")
-    payload, stage = _run_stage("assign", cache, digest, cfg, compute_assign)
+    payload, stage = _run_stage("assign", cache, keys, compute_assign)
     ctx.payloads["assign"] = payload
     stages.append(stage)
 
@@ -468,7 +502,7 @@ def run_flow(
 
     if stage_hook is not None:
         stage_hook("excite")
-    payload, stage = _run_stage("excite", cache, digest, cfg, compute_excite)
+    payload, stage = _run_stage("excite", cache, keys, compute_excite)
     ctx.payloads["excite"] = payload
     stages.append(stage)
 
@@ -503,7 +537,7 @@ def run_flow(
 
     if stage_hook is not None:
         stage_hook("minimize")
-    payload, stage = _run_stage("minimize", cache, digest, cfg, compute_minimize)
+    payload, stage = _run_stage("minimize", cache, keys, compute_minimize)
     ctx.payloads["minimize"] = payload
     stages.append(stage)
     minimize_metrics = payload["metrics"]
@@ -522,14 +556,10 @@ def run_flow(
             # The merged payload is stored under the normal stage key.
             def compute_faultsim() -> Dict[str, Any]:
                 shards = cfg.faultsim_shards
-                stage_digest = cfg.stage_digest("faultsim")
                 shard_payloads: List[Optional[Dict[str, Any]]] = [None] * shards
                 if cache is not None:
                     for index in range(shards):
-                        key = shard_artifact_key(
-                            digest, "faultsim", stage_digest, index, shards
-                        )
-                        shard_payloads[index] = cache.get(key)
+                        shard_payloads[index] = cache.get(keys[_shard_stage(index, shards)])
                 missing = [i for i in range(shards) if shard_payloads[i] is None]
                 if missing:
                     computed = _simulate_faultsim_shards(
@@ -537,12 +567,7 @@ def run_flow(
                     )
                     for index, payload in computed.items():
                         if cache is not None:
-                            cache.put(
-                                shard_artifact_key(
-                                    digest, "faultsim", stage_digest, index, shards
-                                ),
-                                payload,
-                            )
+                            cache.put(keys[_shard_stage(index, shards)], payload)
                         shard_payloads[index] = payload
                 complete = [p for p in shard_payloads if p is not None]
                 return _merge_faultsim_payload(cfg, fault_patterns, complete)
@@ -569,7 +594,7 @@ def run_flow(
 
         if stage_hook is not None:
             stage_hook("faultsim")
-        payload, stage = _run_stage("faultsim", cache, digest, cfg, compute_faultsim)
+        payload, stage = _run_stage("faultsim", cache, keys, compute_faultsim)
         ctx.payloads["faultsim"] = payload
         stages.append(stage)
         faultsim_metrics = payload["metrics"]

@@ -24,6 +24,7 @@ from repro.flow import (
     run_flow,
 )
 from repro.flow.config import _MISR_ASSIGN_KEYS
+from repro.flow.pipeline import stage_keys
 from repro.fsm import load_benchmark, write_kiss_file
 
 #: A valid non-default value for each knob that only the MISR assignment of
@@ -144,6 +145,29 @@ class TestFlowConfig:
                 assert perturbed.stage_digest(stage) == config.stage_digest(stage)
             result = _behaviour(run_flow(machine, perturbed))
             assert result == reference, (machine, structure, field)
+
+    def test_assign_digest_keys_on_the_assigner(self):
+        """PST and SIG call the MISR assigner identically, so they share
+        the assign key; every later stage still keys on the structure."""
+        pst, sig = FlowConfig(structure="PST"), FlowConfig(structure="SIG")
+        assert pst.stage_digest("assign") == sig.stage_digest("assign")
+        for stage in ("excite", "minimize"):
+            assert pst.stage_digest(stage) != sig.stage_digest(stage)
+        assert pst.replace(fault_patterns=256).stage_digest("faultsim") != (
+            sig.replace(fault_patterns=256).stage_digest("faultsim"))
+        assigners = {FlowConfig(structure=s).stage_digest("assign")
+                     for s in ("DFF", "PAT", "PST")}
+        assert len(assigners) == 3
+
+    @pytest.mark.parametrize("machine", ["dk512", "ex4", "mark1"])
+    def test_pst_and_sig_assignments_are_identical(self, machine):
+        """The shared assign key is proven, not trusted: uncached PST and
+        SIG runs produce the same assign payload."""
+        pst = run_flow(machine, FlowConfig(structure="PST"))
+        sig = run_flow(machine, FlowConfig(structure="SIG"))
+        assert pst.encoding == sig.encoding
+        assert pst.metrics["register_polynomial"] == sig.metrics["register_polynomial"]
+        assert pst.stage("assign").metrics == sig.stage("assign").metrics
 
     def test_stage_digest_unknown_stage(self):
         with pytest.raises(ValueError, match="no cache digest"):
@@ -346,6 +370,42 @@ class TestArtifactCache:
         warm = run_flow(small_controller, cache=cache)
         assert warm.all_cached
 
+    def test_sig_and_pst_compute_assign_once(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        config = FlowConfig(fault_patterns=256)
+        sig = run_flow("dk512", config.replace(structure="SIG"), cache=cache)
+        pst = run_flow("dk512", config.replace(structure="PST"), cache=cache)
+        assert not any(stage.cached for stage in sig.cacheable_stages)
+        assert [s.name for s in pst.cacheable_stages if s.cached] == ["assign"]
+        assert cache.writes == 2 * len(CACHED_STAGES) - 1
+        for structure, cached in (("SIG", sig), ("PST", pst)):
+            uncached = run_flow("dk512", config.replace(structure=structure))
+            assert _behaviour(cached) == _behaviour(uncached), structure
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stage_keys_name_every_artifact_the_flow_touches(self, tmp_path, shards):
+        class Recording(ArtifactCache):
+            def __init__(self, root):
+                super().__init__(root)
+                self.read, self.written = [], []
+
+            def get(self, key):
+                self.read.append(key)
+                return super().get(key)
+
+            def put(self, key, payload):
+                self.written.append(key)
+                super().put(key, payload)
+
+        machine = load_benchmark("dk512")
+        for config in (FlowConfig(faultsim_shards=shards),
+                       FlowConfig(fault_patterns=256, faultsim_shards=shards)):
+            cache = Recording(tmp_path / f"{config.digest()}")
+            run_flow(machine, config, cache=cache)
+            keys = set(stage_keys(machine, config).values())
+            assert set(cache.read) == set(cache.written) == keys
+            assert len(keys) == len(cache.read)
+
     def test_clear_and_len(self, small_controller, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         run_flow(small_controller, cache=cache)
@@ -443,6 +503,20 @@ class TestSweep:
         assert [_behaviour(r) for r in cached.results] == [
             _behaviour(r) for r in uncached.results
         ]
+
+    def test_random_baseline_is_shared_across_seeds(self, tmp_path):
+        """The baseline reads the minimiser knobs, ``trials`` and
+        ``random_seed``; another assignment seed serves it from the cache."""
+        cache = ArtifactCache(tmp_path / "cache")
+        grid = dict(structures=("DFF",), random_trials=2, cache=cache)
+        first = Sweep(["dk512"], seeds=(1,), **grid).run().baselines["dk512"]
+        second = Sweep(["dk512"], seeds=(2,), **grid).run().baselines["dk512"]
+        assert not first.cached and second.cached
+        assert (second.average, second.best) == (first.average, first.best)
+        for changes in ({"random_trials": 3}, {"random_seed": 5},
+                        {"config": FlowConfig(espresso_iterations=1)}):
+            other = Sweep(["dk512"], **{**grid, "seeds": (2,), **changes}).run()
+            assert not other.baselines["dk512"].cached, changes
 
     def test_round_trip(self):
         sweep = Sweep(["dk512"], structures=("PST",), random_trials=1).run()

@@ -14,9 +14,14 @@ real subprocesses.
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import json
+import logging
+import re
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -26,6 +31,7 @@ from repro.flow import (
     CoordinatorHandle,
     FaultPlan,
     FaultRule,
+    FlowConfig,
     HttpExecutor,
     QueueExecutor,
     RemoteCache,
@@ -41,8 +47,10 @@ from repro.flow.net.protocol import (
     CoordinatorError,
     IntegrityError,
     NotFoundError,
+    TransportError,
     _parse_response,
     check_schema,
+    close_connections,
     request,
     request_with_retry,
     signed_body,
@@ -338,6 +346,20 @@ class TestCoordinatorStateMachine:
         _, claim = coord._handle_claim({"worker": "w1"})
         assert claim["cell"] == "r-a" and claim["attempt"] == 2
 
+    def test_requests_do_not_scan_leases(self):
+        """Lease expiry is the sweeper's job: a request costs no O(cells) scan."""
+        now = [0.0]
+        coord = make_coordinator(now)
+        submit(coord, cells=("a",), lease_timeout=5.0)
+        coord._handle_claim({"worker": "w1"})
+        now[0] = 6.0  # past the lease window
+        assert coord._dispatch("GET", "/api/v1/stats", {}, None)[0] == 200
+        _, body = coord._handle_run_status("r")
+        assert body["cells"]["claimed"] == 1 and body["counters"]["requeues"] == 0
+        coord._tick()
+        _, body = coord._handle_run_status("r")
+        assert body["cells"]["pending"] == 1 and body["counters"]["requeues"] == 1
+
     def test_unknown_cell_result_is_rejected(self):
         coord = make_coordinator([0.0])
         _, resp = coord._handle_result("ghost", {"worker": "w",
@@ -357,29 +379,174 @@ class TestCoordinatorStateMachine:
         now = [0.0]
         coord = make_coordinator(now, cache_dir=tmp_path / "cache")
         key = "ab" + "0" * 62
-        assert coord._handle_cache_get(key)[0] == 404
-        status, body = coord._handle_cache_put(
-            key, {"key": key, "payload": {"x": 1}})
-        assert status == 200 and body["stored"] is True
-        status, body = coord._handle_cache_get(key)
-        assert status == 200 and body == {"key": key, "payload": {"x": 1}}
-        # A mismatched or malformed upload is counted, never stored.
-        assert coord._handle_cache_put(key, {"key": "other",
-                                             "payload": {}})[0] == 400
-        assert coord._handle_cache_put(key, {"key": key,
-                                             "payload": [1]})[0] == 400
+        assert coord._handle_cache({"get": [key]}) == (200, {"found": {}})
+        # Puts land before gets: one exchange can push and read a key.
+        status, body = coord._handle_cache(
+            {"put": {key: {"x": 1}}, "get": [key]})
+        assert status == 200 and body == {"found": {key: {"x": 1}}}
+        # A malformed put is counted, never stored; its siblings land.
+        other = "cd" + "0" * 62
+        status, body = coord._handle_cache(
+            {"put": {key: [1], other: {"y": 2}, "../escape": {"z": 3}}})
+        assert status == 200
+        assert coord._handle_cache({"get": [other, "../escape"]})[1] == {
+            "found": {other: {"y": 2}}}
+        # A body that failed its signature, or of the wrong shape, is a
+        # counted corrupt exchange.
+        assert coord._handle_cache(None)[0] == 400
+        assert coord._handle_cache({"put": [key]})[0] == 400
         status, stats = coord._handle_stats()
         assert status == 200 and stats["schema"] == NET_SCHEMA
         counters = stats["counters"]
-        assert counters["cache_gets"] == 2 and counters["cache_puts"] == 1
-        assert counters["corrupt_cache_puts"] == 2
-        assert stats["cache"]["hit_rate"] == 0.5
+        assert counters["cache_gets"] == 3 and counters["cache_puts"] == 2
+        assert counters["corrupt_cache_puts"] == 4
+        assert stats["cache"]["hit_rate"] == round(2 / 3, 4)
         assert stats["cache"]["root"] == str(tmp_path / "cache")
 
     def test_cacheless_coordinator_404s_the_cache_api(self):
         coord = make_coordinator([0.0])
-        assert coord._handle_cache_get("k")[0] == 404
-        assert coord._handle_cache_put("k", {"key": "k", "payload": {}})[0] == 404
+        assert coord._handle_cache({"get": ["k"]})[0] == 404
+        assert coord._handle_cache({"put": {"k": {}}})[0] == 404
+
+
+# ------------------------------------------------- persistent connections
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.01)
+
+
+class TestPersistentConnections:
+    def test_requests_share_one_connection(self):
+        with CoordinatorHandle(port=0) as handle:
+            for _ in range(5):
+                assert request(f"{handle.url}/api/v1/health", timeout=5.0)["ok"]
+            totals = handle.coordinator._totals
+            assert totals["requests"] == 5 and totals["connections"] == 1
+            stats = request(f"{handle.url}/api/v1/stats", timeout=5.0)
+            assert stats["counters"]["requests"] == 5
+            assert stats["counters"]["connections"] == 1
+        close_connections()
+
+    def test_dropped_idle_connection_reconnects_transparently(self):
+        with CoordinatorHandle(port=0) as handle:
+            url = handle.url
+            coord = handle.coordinator
+            request(f"{url}/api/v1/health", timeout=5.0)
+            _wait_for(lambda: len(coord._idle) == 1)
+            # The coordinator drops the idle keep-alive connection.
+            handle._loop.call_soon_threadsafe(
+                lambda: [writer.close() for writer in list(coord._idle)])
+            _wait_for(lambda: not coord._connections)
+            assert request(f"{url}/api/v1/health", timeout=5.0)["ok"] is True
+            assert coord._totals["connections"] == 2
+            assert coord._totals["requests"] == 2
+        close_connections()
+
+    def test_forked_child_opens_its_own_connection(self):
+        import multiprocessing
+
+        with CoordinatorHandle(port=0) as handle:
+            url = handle.url
+            request(f"{url}/api/v1/health", timeout=5.0)
+            child = multiprocessing.get_context("fork").Process(
+                target=request, args=(f"{url}/api/v1/health",), kwargs={"timeout": 5.0})
+            child.start()
+            child.join(timeout=30)
+            assert child.exitcode == 0
+            # The parent's connection is intact and still its own.
+            assert request(f"{url}/api/v1/health", timeout=5.0)["ok"] is True
+            totals = handle.coordinator._totals
+            assert totals["requests"] == 3 and totals["connections"] == 2
+        close_connections()
+
+    def test_connection_close_clients_get_answers(self):
+        """``urllib`` sends ``Connection: close``; each request is answered
+        and the connection then ends."""
+        with CoordinatorHandle(port=0) as handle:
+            for _ in range(2):
+                with urllib.request.urlopen(f"{handle.url}/api/v1/health",
+                                            timeout=5) as response:
+                    assert response.headers["Connection"] == "close"
+                    assert json.loads(response.read())["ok"] is True
+            totals = handle.coordinator._totals
+            assert totals["requests"] == 2 and totals["connections"] == 2
+            _wait_for(lambda: not handle.coordinator._connections)
+
+    def test_stopping_a_handle_closes_open_connections_cleanly(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        handle = CoordinatorHandle(port=0).start()
+        url = handle.url
+        clients = [http.client.HTTPConnection(url.split("://")[1], timeout=5)
+                   for _ in range(2)]
+        for client in clients:
+            client.request("GET", "/api/v1/health")
+            assert json.loads(client.getresponse().read())["ok"] is True
+        request(f"{url}/api/v1/health", timeout=5.0)
+        _wait_for(lambda: len(handle.coordinator._idle) == 3)
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 5.0
+        assert not handle._thread.is_alive()
+        assert not handle.coordinator._connections
+        for client in clients:
+            assert client.sock.recv(1) == b""  # closed by the coordinator
+            client.close()
+        # The pooled connection is stale and the coordinator gone: the one
+        # reconnect fails, as a TransportError.
+        with pytest.raises(TransportError):
+            request(f"{url}/api/v1/health", timeout=2.0)
+        noise = [record.getMessage() for record in caplog.records
+                 if record.levelno >= logging.WARNING
+                 or "Cancelled" in record.getMessage()]
+        assert noise == []
+
+    def test_shutdown_ends_every_handler_and_finishes_busy_replies(self):
+        set_active_plan(FaultPlan(seed=1, rules=(
+            FaultRule(kind="net-slow", match="GET /api/v1/stats",
+                      seconds=0.2, attempts=()),
+        )))
+
+        async def exchange(coord, path):
+            reader, writer = await asyncio.open_connection(coord.host, coord.port)
+            writer.write(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
+            await writer.drain()
+            return reader, writer
+
+        async def read_reply(reader):
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            return head, json.loads(await reader.readexactly(length))
+
+        async def scenario():
+            coord = Coordinator(port=0)
+            await coord.start()
+            idle_reader, idle_writer = await exchange(coord, "/api/v1/health")
+            head, _ = await read_reply(idle_reader)
+            assert b"Connection: keep-alive" in head
+            busy_reader, busy_writer = await exchange(coord, "/api/v1/stats")
+            for _ in range(500):
+                if len(coord._idle) == 1 and len(coord._connections) == 2:
+                    break
+                await asyncio.sleep(0.01)
+            await coord.shutdown()
+            leftover = [task for task in asyncio.all_tasks()
+                        if task is not asyncio.current_task()]
+            assert leftover == [] and not coord._connections
+            # The busy connection got its answer, then the close.
+            head, payload = await read_reply(busy_reader)
+            assert b"Connection: close" in head and payload["schema"] == NET_SCHEMA
+            assert await busy_reader.read() == b""
+            assert await idle_reader.read() == b""
+            for writer in (idle_writer, busy_writer):
+                writer.close()
+                await writer.wait_closed()
+
+        asyncio.run(scenario())
 
 
 # --------------------------------------------------------- http parity
@@ -637,6 +804,7 @@ class TestRemoteCache:
             url = handle.url
             writer = RemoteCache(url, tmp_path / "writer")
             writer.put(self.KEY, {"stage": "minimize", "v": 1})
+            assert writer.flush() == 1
             reader = RemoteCache(url, tmp_path / "reader")
             assert reader.get(self.KEY) == {"stage": "minimize", "v": 1}
             assert reader.remote_hits == 1 and reader.hits == 1
@@ -657,6 +825,7 @@ class TestRemoteCache:
             for key in keys:
                 writer.put(key, {"k": key})
             assert writer.writes == 3
+            assert writer.flush() == 3
             reader = RemoteCache(url, tmp_path / "reader")
             assert reader.get(keys[0]) == {"k": keys[0]}
             assert reader.warm(keys) == 2
@@ -672,19 +841,22 @@ class TestRemoteCache:
             writer = RemoteCache(url, tmp_path / "writer")
             for key in keys[:2]:
                 writer.put(key, {"k": key})
+            writer.flush()
             reader = RemoteCache(url, tmp_path / "reader")
             assert reader.warm(keys) == 2
             assert reader._load_local(keys[0]) is not None
 
     def test_corrupt_download_is_a_counted_miss(self, tmp_path):
         set_active_plan(FaultPlan(seed=3, rules=(
-            FaultRule(kind="net-corrupt", match="GET /api/v1/cache/*",
+            FaultRule(kind="net-corrupt", match="POST /api/v1/cache",
                       attempts=()),
         )))
         with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
             url = handle.url
             writer = RemoteCache(url, tmp_path / "writer")
             writer.put(self.KEY, {"v": 1})
+            # The push lands; only its (corrupted) answer is unreadable.
+            writer.flush()
             reader = RemoteCache(url, tmp_path / "reader", tries=2)
             assert reader.get(self.KEY) is None
         assert reader.remote_corrupt == 1
@@ -693,12 +865,110 @@ class TestRemoteCache:
     def test_unreachable_coordinator_degrades_to_local(self, tmp_path):
         cache = RemoteCache(f"http://127.0.0.1:{free_port()}",
                             tmp_path / "local", timeout=0.5, tries=1)
-        cache.put(self.KEY, {"v": 2})  # remote push fails, local write lands
+        cache.put(self.KEY, {"v": 2})
+        assert cache.flush() == 0  # remote push fails, local write lands
         assert cache.remote_errors == 1
         assert cache.get(self.KEY) == {"v": 2}  # pure local hit, no network
         assert cache.get("cd" + "4" * 62) is None  # remote miss -> error path
         assert cache.remote_errors == 2
         assert cache.misses == 1
+
+    def test_warm_and_flush_are_one_request_each(self, tmp_path):
+        keys = [f"{i:02d}" + "6" * 62 for i in range(4)]
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            totals = handle.coordinator._totals
+            writer = RemoteCache(handle.url, tmp_path / "writer")
+            for key in keys[:3]:
+                writer.put(key, {"k": key})
+            before = totals["requests"]
+            assert writer.flush() == 3
+            assert totals["requests"] == before + 1
+            assert totals["cache_puts"] == 3
+            assert writer.flush() == 0  # an empty queue sends nothing
+            reader = RemoteCache(handle.url, tmp_path / "reader")
+            assert reader.warm(keys) == 3
+            assert totals["requests"] == before + 2
+            assert reader.remote_hits == 3 and reader.remote_misses == 1
+            # Held keys are local and the absent one is remembered, so
+            # nothing is asked for again.
+            assert reader.warm(keys) == 0
+            assert reader.get(keys[3]) is None
+            assert totals["requests"] == before + 2
+            assert [reader.get(key) for key in keys[:3]] == [
+                {"k": key} for key in keys[:3]]
+            assert reader.hits == 3 and reader.misses == 1
+            assert reader.writes == 0
+
+    def test_corrupt_batch_response_is_a_counted_miss(self, tmp_path):
+        keys = [f"{i:02d}" + "7" * 62 for i in range(2)]
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            writer = RemoteCache(handle.url, tmp_path / "writer")
+            for key in keys:
+                writer.put(key, {"k": key})
+            writer.flush()
+            set_active_plan(FaultPlan(seed=5, rules=(
+                FaultRule(kind="net-corrupt", match="POST /api/v1/cache",
+                          attempts=()),
+            )))
+            reader = RemoteCache(handle.url, tmp_path / "reader", tries=2)
+            assert reader.warm(keys) == 0
+            assert reader.remote_corrupt == 1 and reader.remote_hits == 0
+            assert all(reader._load_local(key) is None for key in keys)
+            assert reader.get(keys[0]) is None
+            assert reader.remote_corrupt == 2 and reader.misses == 1
+            set_active_plan(None)
+            # A corrupt answer is no report of absence: the keys are
+            # asked for again once the wire is healthy.
+            assert reader.warm(keys) == 2
+
+    def test_coordinator_without_a_cache_tier_reads_as_absent(self, tmp_path):
+        keys = [f"{i:02d}" + "9" * 62 for i in range(2)]
+        with CoordinatorHandle(port=0) as handle:  # no cache_dir
+            totals = handle.coordinator._totals
+            cache = RemoteCache(handle.url, tmp_path / "local")
+            assert cache.warm(keys) == 0
+            assert cache.remote_misses == 2 and cache.remote_errors == 0
+            requests = totals["requests"]
+            assert cache.get(keys[0]) is None  # remembered: no second ask
+            assert totals["requests"] == requests
+            cache.put(keys[0], {"v": 1})
+            assert cache.flush() == 0 and cache.remote_errors == 1
+
+    def test_failed_flush_counts_an_error_and_keeps_local_artifacts(self, tmp_path):
+        keys = [f"{i:02d}" + "8" * 62 for i in range(2)]
+        cache = RemoteCache(f"http://127.0.0.1:{free_port()}",
+                            tmp_path / "local", timeout=0.5, tries=1)
+        for key in keys:
+            cache.put(key, {"k": key})
+        assert cache.flush() == 0
+        assert cache.remote_errors == 1 and cache.writes == 2
+        # Local hits never touch the (unreachable) network.
+        assert [cache.get(key) for key in keys] == [{"k": key} for key in keys]
+        assert cache.remote_errors == 1
+        # The failed batch was dropped, not retried on the next flush.
+        assert cache.flush() == 0 and cache.remote_errors == 1
+
+    def test_run_cell_costs_one_exchange_each_way(self, tmp_path):
+        from repro.flow.cells import run_cell
+
+        task = next(cell for cell in Sweep(
+            ["dk512"], structures=("PST",), config=FlowConfig(fault_patterns=256),
+            cache=ArtifactCache(tmp_path / "unused"),
+        ).cells() if cell["kind"] == "flow")
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            totals = handle.coordinator._totals
+            cold_task = dict(task, cache_dir=str(tmp_path / "w0"), cache_url=handle.url)
+            before = totals["requests"]
+            cold = run_cell(cold_task, worker="w0")
+            # One exchange asks for the four stage artifacts, one pushes them.
+            assert totals["requests"] == before + 2
+            assert totals["cache_gets"] == 4 and totals["cache_puts"] == 4
+            assert cold["cache_stats"]["remote_misses"] == 4
+            warm = run_cell(dict(cold_task, cache_dir=str(tmp_path / "w1")), worker="w1")
+            assert totals["requests"] == before + 3
+            assert warm["cache_stats"]["remote_hits"] == 4
+            assert warm["cache_stats"]["misses"] == 0
+            assert warm["cache_stats"]["writes"] == 0
 
     def test_worker_resolves_cache_url_through_remote_tier(self, tmp_path):
         """run_cell builds a RemoteCache when the task ships a cache_url."""
@@ -811,6 +1081,7 @@ class TestCacheStatsReporting:
             url = handle.url
             writer = RemoteCache(url, tmp_path / "w")
             writer.put("ab" + "8" * 62, {"v": 1})
+            writer.flush()
             writer.get("cd" + "9" * 62)  # one remote miss
             exit_code = main(["cache", "stats", "--url", url, "--json"])
         assert exit_code == 0
