@@ -1,16 +1,22 @@
 """Benchmark — compiled fault-simulation engine vs the seed serial loop.
 
 The compiled engine (:mod:`repro.circuit.engine`) exists to make the
-paper's fault-coverage experiments cheap at scale: it precompiles the
-netlist into a straight-line evaluation program, drops detected faults,
-widens the pattern words to hundreds of lanes and can shard the fault
-list across processes.  This harness measures the wall-clock speedup over
-the seed's interpreted serial-fault loop (``engine="legacy"``,
+paper's fault-coverage experiments cheap at scale.  It evaluates the good
+circuit once per cycle with a generated straight-line function, and each
+undetected fault then re-evaluates only its site's fanout cone from the
+good values (parallel-pattern single-fault propagation); faults for which
+the good-state argument fails — flip-flop-branch faults, an ``observe``
+list without a data signal, a partial lane mask before the last word —
+run sequentially with their own state.  Detected faults are dropped,
+pattern words are hundreds of lanes wide, and the fault list can be
+sharded across processes.  This harness measures the wall-clock speedup
+over the seed's interpreted serial-fault loop (``engine="legacy"``,
 64-lane words) on the largest MCNC-style generated FSM and asserts
 
 * bit-exact agreement of the detected-fault sets at equal word width, and
 * a >= 5x speedup at word width >= 256 (the acceptance bar of the engine
-  PR; measured ~7x at 256 lanes and higher at 1024).
+  PR; the whole-netlist engine measured ~7x at 256 lanes, the cone path
+  58x on ``tbk`` on a 2-vCPU host: 68.3 s legacy against 1.17 s).
 
 Set ``REPRO_BENCH_SMOKE=1`` for a seconds-long smoke configuration on a
 tiny controller (used by CI); the speedup assertion is skipped there

@@ -10,8 +10,10 @@ This script is the blocking ``fuzz`` CI job.  It runs two phases:
    must hold on every case, including the >=200-state tier.
 2. **Mutation smoke** — the same harness with ``--mutate
    engine-legacy-drop`` (a deliberately broken legacy fault simulator)
-   must *fail*, emit a minimized repro case, and that case must replay
-   deterministically: failing with the mutation active, passing without.
+   and with ``--mutate engine-cone-drop`` (a compiled fault simulator
+   whose fanout cones lose their last gate) must *fail*, emit a minimized
+   repro case, and that case must replay deterministically: failing with
+   the mutation active, passing without.
    A harness that cannot catch a broken engine is worse than no harness,
    so this phase gates the job exactly like the clean sweep.
 
@@ -39,7 +41,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.corpus import replay_case, run_fuzz  # noqa: E402  (path bootstrap)
 
-SMOKE_MUTATION = "engine-legacy-drop"
+SMOKE_MUTATIONS = ("engine-legacy-drop", "engine-cone-drop")
 
 
 def check(report: Dict[str, Any], name: str, ok: bool, detail: str) -> bool:
@@ -48,12 +50,42 @@ def check(report: Dict[str, Any], name: str, ok: bool, detail: str) -> bool:
     return bool(ok)
 
 
+def smoke_mutation(report: Dict[str, Any], mutation: str, cases: int) -> bool:
+    """One broken engine must be caught, minimized and replayed."""
+    started = time.perf_counter()
+    mutated = run_fuzz(cases=cases, seed=0, mutate=mutation)
+    report["mutated"][mutation] = mutated.to_dict()
+    ok = check(report, f"{mutation}: mutation-caught", not mutated.ok,
+               f"{mutated.failed}/{len(mutated.outcomes)} cases flagged the "
+               f"broken engine in {time.perf_counter() - started:.1f}s")
+
+    entry = mutated.failures[0] if mutated.failures else None
+    minimized = entry.get("minimized") if entry else None
+    ok &= check(report, f"{mutation}: minimized-case-emitted",
+                bool(minimized) and minimized.get("schema") == "repro.fuzz/1",
+                f"minimized spec: {minimized.get('spec') if minimized else None}")
+
+    if minimized:
+        replayed = replay_case(entry)
+        ok &= check(report, f"{mutation}: repro-replays-failure",
+                    replayed["status"] == "fail",
+                    f"replay with stored mutation -> {replayed['status']}")
+        healthy = replay_case({**minimized, "mutation": None})
+        ok &= check(report, f"{mutation}: repro-passes-clean",
+                    healthy["status"] == "pass",
+                    f"replay without mutation -> {healthy['status']}")
+    else:
+        ok &= check(report, f"{mutation}: repro-replays-failure", False,
+                    "no minimized case to replay")
+    return ok
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cases", type=int, default=15,
                         help="cases of the clean sweep (seed 0)")
     parser.add_argument("--mutation-cases", type=int, default=3,
-                        help="cases of the mutation smoke phase")
+                        help="cases of each mutation smoke run")
     parser.add_argument("--out", default="BENCH_fuzz.json",
                         help="JSON report path (CI artifact)")
     args = parser.parse_args()
@@ -62,7 +94,8 @@ def main() -> int:
         "schema": "repro.fuzz-bench/1",
         "checks": [],
         "cases": args.cases,
-        "mutation": SMOKE_MUTATION,
+        "mutations": list(SMOKE_MUTATIONS),
+        "mutated": {},
     }
     ok = True
 
@@ -77,31 +110,8 @@ def main() -> int:
                 f"{time.perf_counter() - started:.1f}s")
 
     # ---- phase 2: mutation smoke ---------------------------------------
-    started = time.perf_counter()
-    mutated = run_fuzz(cases=args.mutation_cases, seed=0, mutate=SMOKE_MUTATION)
-    report["mutated"] = mutated.to_dict()
-    ok &= check(report, "mutation-caught", not mutated.ok,
-                f"{mutated.failed}/{len(mutated.outcomes)} cases flagged the "
-                f"broken engine in {time.perf_counter() - started:.1f}s")
-
-    entry = mutated.failures[0] if mutated.failures else None
-    minimized = entry.get("minimized") if entry else None
-    ok &= check(report, "minimized-case-emitted",
-                bool(minimized) and minimized.get("schema") == "repro.fuzz/1",
-                f"minimized spec: {minimized.get('spec') if minimized else None}")
-
-    if minimized:
-        replayed = replay_case(entry)
-        ok &= check(report, "repro-replays-failure",
-                    replayed["status"] == "fail",
-                    f"replay with stored mutation -> {replayed['status']}")
-        healthy = replay_case({**minimized, "mutation": None})
-        ok &= check(report, "repro-passes-clean",
-                    healthy["status"] == "pass",
-                    f"replay without mutation -> {healthy['status']}")
-    else:
-        ok &= check(report, "repro-replays-failure", False,
-                    "no minimized case to replay")
+    for mutation in SMOKE_MUTATIONS:
+        ok &= smoke_mutation(report, mutation, args.mutation_cases)
 
     report["ok"] = bool(ok)
     Path(args.out).write_text(json.dumps(report, indent=2))

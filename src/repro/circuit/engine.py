@@ -4,24 +4,47 @@ This module is the hot path of every fault-coverage experiment in the
 repository.  It replaces the interpreted per-gate evaluation of
 :class:`repro.circuit.simulate.LogicSimulator` (dict lookups plus a branch
 chain per gate, with a per-operand fault check) by a *precompiled
-evaluation program*:
+evaluation program* and single-fault propagation over fanout cones
+(parallel-pattern single-fault propagation, PPSFP):
 
 * the netlist's topological order is flattened once into dense integer
   indices over a flat value array,
 * the fault-free circuit is evaluated by a single generated straight-line
   Python function (``V[7] = V[2] & V[5]`` per gate, compiled once per
-  netlist), eliminating all per-gate dispatch,
-* faulty circuits are evaluated by a list of per-gate closures split at
-  the fault site, so fault injection costs one forced store (stem faults)
-  or one substituted operand closure (branch faults) instead of a check
-  on every operand of every gate,
-* faults are *dropped* from the workload the moment they are detected and
-  the remaining list is simulated fault-major, so each fault stops at its
-  own detection cycle,
+  netlist), once per cycle,
+* every fault site keeps, cached, the per-gate closures of its
+  combinational fanout cone in topological order; a stem fault forces one
+  word, a branch fault runs one substituted operand closure of the
+  consuming gate, and only the cone is re-evaluated on a copy of the good
+  values,
+* only the observation points inside the cone are compared, under the
+  lane mask, and a fault is *dropped* the moment it is detected; the run
+  is cycle-major, so the good circuit is evaluated once per cycle however
+  many faults remain,
 * the fault list can be sharded across worker processes
   (:class:`concurrent.futures.ProcessPoolExecutor`); shards are merged
   deterministically (per-fault results are independent, so the merged
   detection cycles equal a single-process run exactly).
+
+The cone path is exact because the default observation points include
+every flip-flop data signal: a fault that changes the next state in a
+valid lane is detected in that cycle, so an undetected fault enters every
+cycle with the *good* state and each (fault, cycle) pair is a purely
+combinational problem.  Where that argument fails the fault runs the
+sequential path instead — its own state over the whole sequence, each
+cycle the generated good evaluation from that state followed by the
+fault's cone.  That happens for
+
+* a flip-flop-branch (capture) fault, which changes the stored state
+  without changing any observed line,
+* a fault whose cone reaches a flip-flop data signal that a caller's
+  ``observe`` list leaves out,
+* every fault of a run whose lane masks leave a lane invalid on some word
+  before the last, because an invalid lane may diverge unseen and be
+  valid later.
+
+An explicit ``initial_state`` keeps the cone path: the good and the faulty
+machine start from the same state.
 
 Patterns are packed into machine words exactly as in the legacy
 simulator: bit ``k`` of every signal word is the signal's value in
@@ -33,13 +56,25 @@ requested number of patterns.
 
 The engine produces results bit-exact identical to the legacy loop
 (asserted by ``tests/test_fault_sim_engine.py`` on every seed benchmark
-circuit); ``benchmarks/bench_fault_sim_engine.py`` records the speedup.
+circuit, and by the ``engine-parity`` fuzz invariant on every route);
+``benchmarks/bench_fault_sim_engine.py`` records the speedup.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .netlist import Gate, Netlist
 from .simulate import StuckAtFault
@@ -50,6 +85,28 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a circular import
 __all__ = ["CompiledFaultEngine", "merge_shard_detections", "partition_faults"]
 
 Op = Callable[[List[int]], None]
+#: ``(position, site, word, force_idx, ops, observed cone points)`` of one
+#: fault on the cone path; ``position`` indexes the caller's fault list and
+#: ``force_idx`` is the site of a stem fault, ``-1`` for a branch fault.
+_ConeFault = Tuple[int, int, int, int, Tuple[Op, ...], Tuple[int, ...]]
+
+
+class _Program(NamedTuple):
+    """How one fault changes a cycle of the good circuit."""
+
+    #: Value index of the faulty line's driving signal.
+    site: int
+    #: The stuck word (all lanes at the stuck value).
+    word: int
+    #: Stem fault: ``V[site] = word`` is forced before ``ops`` run.
+    stem: bool
+    #: Closures to run after the force: a branch fault's substituted
+    #: consumer closure first, then the cone of the changed signal.
+    ops: Tuple[Op, ...]
+    #: Every value index the fault can change within one cycle.
+    cone: Tuple[int, ...]
+    #: Flip-flop position of a capture fault, whose stored word is forced.
+    capture: Optional[int]
 
 
 def partition_faults(
@@ -253,7 +310,15 @@ class CompiledFaultEngine:
 
         self._ops: List[Op] = [self._compile_gate(netlist.gates[s]) for s in self._order]
         self._good_eval = self._compile_good_eval()
-        self._branch_variants: Dict[Tuple[str, str, int], Op] = {}
+        # Output index of every gate position, and per signal index the
+        # positions of the gates reading it: the edges of the fanout cones.
+        self._out_idx: List[int] = [self._index[s] for s in self._order]
+        self._consumers: List[List[int]] = [[] for _ in self._index]
+        for pos, signal in enumerate(self._order):
+            for src in dict.fromkeys(netlist.gates[signal].inputs):
+                self._consumers[self._index[src]].append(pos)
+        self._cones: Dict[int, Tuple[Tuple[Op, ...], Tuple[int, ...]]] = {}
+        self._programs: Dict[StuckAtFault, Optional[_Program]] = {}
 
     # ------------------------------------------------------------ compilation
     def _operand_indices(
@@ -262,14 +327,11 @@ class CompiledFaultEngine:
         """Gate operands as value-array indices, with one driver optionally
         replaced by a stuck constant (all occurrences, matching the legacy
         branch-fault semantics)."""
-        idxs: List[int] = []
-        consts: List[int] = []
-        for src in gate.inputs:
-            if stuck is not None and src == stuck[0]:
-                consts.append(self.mask if stuck[1] else 0)
-            else:
-                idxs.append(self._index[src])
-        return tuple(idxs), consts
+        if stuck is None:
+            return tuple(self._index[src] for src in gate.inputs), []
+        name, value = stuck
+        idxs = tuple(self._index[src] for src in gate.inputs if src != name)
+        return idxs, [self.mask if value else 0] * (len(gate.inputs) - len(idxs))
 
     def _compile_gate(self, gate: Gate, stuck: Optional[Tuple[str, int]] = None) -> Op:
         out = self._index[gate.output]
@@ -278,19 +340,19 @@ class CompiledFaultEngine:
             return _const_op(out, 0)
         if gate.kind == "CONST1":
             return _const_op(out, mask)
+        if stuck is not None and (gate.kind, stuck[1]) in (("AND", 0), ("OR", 1)):
+            if stuck[0] in gate.inputs:  # a controlling value fixes the output
+                return _const_op(out, mask if stuck[1] else 0)
 
         idxs, consts = self._operand_indices(gate, stuck)
         if gate.kind == "BUF":
             return _const_op(out, consts[0]) if consts else _copy_op(out, idxs[0])
         if gate.kind == "NOT":
             return _const_op(out, consts[0] ^ mask) if consts else _not_op(out, idxs[0], mask)
+        # A stuck operand of an AND (OR) gate here is 1 (0): it drops out.
         if gate.kind == "AND":
-            if any(c == 0 for c in consts):
-                return _const_op(out, 0)
             return _const_op(out, mask) if not idxs else _and_op(out, idxs)
         if gate.kind == "OR":
-            if any(c == mask for c in consts):
-                return _const_op(out, mask)
             return _const_op(out, 0) if not idxs else _or_op(out, idxs)
         if gate.kind == "XOR":
             init = 0
@@ -330,50 +392,67 @@ class CompiledFaultEngine:
         exec(compile("\n".join(lines), "<fault-engine>", "exec"), namespace)
         return namespace["good_eval"]  # type: ignore[return-value]
 
-    def _fault_program(
-        self, fault: StuckAtFault
-    ) -> Tuple[
-        List[Op],
-        List[Op],
-        Optional[Tuple[int, int]],
-        Optional[Tuple[int, int]],
-        Optional[Tuple[int, int]],
-    ]:
-        """Split the evaluation program at the fault site.
+    def _cone(self, idx: int) -> Tuple[Tuple[Op, ...], Tuple[int, ...]]:
+        """The fanout cone of signal ``idx``: ``(ops, cone)``.
 
-        Returns ``(prefix_ops, suffix_ops, pre_force, mid_force, capture)``:
-        ``pre_force`` forces an input/state word before evaluation,
-        ``mid_force`` forces a gate output between prefix and suffix, and
-        ``capture`` forces a flip-flop's captured state word (FF-branch
-        faults).  Forces are ``(index, word)`` pairs.
+        ``ops`` are the closures of every gate the signal reaches
+        combinationally, in topological order; ``cone`` is ``idx`` followed
+        by those gates' output indices — every value a fault at ``idx`` can
+        change within one cycle.  Cached per signal, so a stem's two faults
+        and every branch fault into the same gate share one cone.
         """
+        cached = self._cones.get(idx)
+        if cached is None:
+            consumers = self._consumers
+            out_idx = self._out_idx
+            stack = list(consumers[idx])
+            reached = set(stack)
+            while stack:
+                for pos in consumers[out_idx[stack.pop()]]:
+                    if pos not in reached:
+                        reached.add(pos)
+                        stack.append(pos)
+            positions = sorted(reached)
+            cached = (
+                tuple(self._ops[pos] for pos in positions),
+                (idx,) + tuple(out_idx[pos] for pos in positions),
+            )
+            self._cones[idx] = cached
+        return cached
+
+    def _fault_program(self, fault: StuckAtFault) -> Optional[_Program]:
+        """How ``fault`` changes one cycle of the good circuit (cached).
+
+        A stem fault forces its signal and runs the signal's cone; a branch
+        fault runs the consuming gate's substituted closure followed by
+        that gate's cone; a flip-flop-branch fault has no ops and forces
+        the captured state word instead.  ``None`` when the fault cannot
+        change any value (an unknown site, or a branch that is not an input
+        of the named consumer).
+        """
+        if fault in self._programs:
+            return self._programs[fault]
+        program: Optional[_Program] = None
         const = self.mask if fault.value else 0
         if fault.gate_input is None:
-            if fault.signal not in self._index:
-                return self._ops, [], None, None, None
-            idx = self._index[fault.signal]
-            pos = self._order_pos.get(fault.signal)
-            if pos is None:  # primary input or state signal
-                return self._ops, [], (idx, const), None, None
-            return self._ops[: pos + 1], self._ops[pos + 1 :], None, (idx, const), None
-
-        if fault.gate_input in self._ff_pos:
+            idx = self._index.get(fault.signal)
+            if idx is not None:
+                ops, cone = self._cone(idx)
+                program = _Program(idx, const, True, ops, cone, None)
+        elif fault.gate_input in self._ff_pos:
             ff_pos = self._ff_pos[fault.gate_input]
-            ff = self.netlist.flip_flops[ff_pos]
-            if ff.data != fault.signal:
-                return self._ops, [], None, None, None
-            return self._ops, [], None, None, (ff_pos, const)
-
-        pos = self._order_pos.get(fault.gate_input)
-        if pos is None:
-            return self._ops, [], None, None, None
-        key = (fault.signal, fault.gate_input, fault.value)
-        variant = self._branch_variants.get(key)
-        if variant is None:
+            if self.netlist.flip_flops[ff_pos].data == fault.signal:
+                program = _Program(self._index[fault.signal], const, False, (), (), ff_pos)
+        elif fault.gate_input in self._order_pos:
             gate = self.netlist.gates[fault.gate_input]
-            variant = self._compile_gate(gate, stuck=(fault.signal, fault.value))
-            self._branch_variants[key] = variant
-        return self._ops[:pos] + [variant], self._ops[pos + 1 :], None, None, None
+            if fault.signal in gate.inputs:
+                variant = self._compile_gate(gate, stuck=(fault.signal, fault.value))
+                ops, cone = self._cone(self._index[fault.gate_input])
+                program = _Program(
+                    self._index[fault.signal], const, False, (variant,) + ops, cone, None
+                )
+        self._programs[fault] = program
+        return program
 
     # --------------------------------------------------------------- running
     def reset_state_words(self) -> List[int]:
@@ -431,10 +510,10 @@ class CompiledFaultEngine:
         Returns a :class:`repro.circuit.faults.FaultSimulationResult` that is
         bit-exact identical to the legacy simulator's for the same inputs.
         """
-        from .faults import FaultSimulationResult, enumerate_faults
+        from .faults import FaultSimulationResult, enumerate_faults, observation_points
 
         fault_list = list(faults) if faults is not None else enumerate_faults(self.netlist)
-        observation = self._observation_points(observe)
+        observation = observation_points(self.netlist, observe)
         obs_idx = [self._index[n] for n in observation if n in self._index]
 
         n_cycles = len(input_sequence)
@@ -463,16 +542,13 @@ class CompiledFaultEngine:
                 jobs,
             )
         else:
-            seq_words = self._prepare_sequence(input_sequence)
-            init_state = self._state_words(initial_state)
-            good_trace = self._good_trace(seq_words, obs_idx, init_state)
-            detection = {}
-            for fault in fault_list:
-                cycle = self._simulate_fault(
-                    fault, seq_words, good_trace, obs_idx, masks, init_state
-                )
-                if cycle is not None:
-                    detection[fault.describe()] = cycle
+            detection = self._detect(
+                fault_list,
+                self._prepare_sequence(input_sequence),
+                obs_idx,
+                masks,
+                self._state_words(initial_state),
+            )
 
         for key, cycle in detection.items():
             result.detected.add(key)
@@ -487,13 +563,6 @@ class CompiledFaultEngine:
         )
         return result
 
-    def _observation_points(self, observe: Optional[Sequence[str]]) -> List[str]:
-        if observe is not None:
-            return list(observe)
-        points = list(self.netlist.primary_outputs)
-        points.extend(ff.data for ff in self.netlist.flip_flops)
-        return points
-
     def _lane_masks(self, lane_masks: Optional[Sequence[int]], n_cycles: int) -> List[int]:
         if lane_masks is None:
             return [self.mask] * n_cycles
@@ -501,21 +570,126 @@ class CompiledFaultEngine:
             raise ValueError("lane_masks must provide one mask per input word")
         return [m & self.mask for m in lane_masks[:n_cycles]]
 
+    def _detect(
+        self,
+        fault_list: List[StuckAtFault],
+        seq_words: List[List[int]],
+        obs_idx: List[int],
+        masks: List[int],
+        initial_state: List[int],
+    ) -> Dict[str, int]:
+        """First detection cycle per detected fault, in fault-list order.
+
+        Faults the good-state argument covers run cycle-major over their
+        cones; the rest run the sequential path (see the module docstring).
+        """
+        observed = set(obs_idx)
+        unobserved_data = set(self._data_idx) - observed
+        exact = all(m == self.mask for m in masks[:-1])
+        cone_obs: Dict[int, Tuple[int, ...]] = {}
+        cone_faults: List[_ConeFault] = []
+        sequential: List[Tuple[int, _Program]] = []
+        for position, fault in enumerate(fault_list):
+            program = self._fault_program(fault)
+            if program is None:
+                continue  # the faulty circuit equals the good one
+            cone = program.cone
+            if program.capture is not None or not exact or not unobserved_data.isdisjoint(cone):
+                sequential.append((position, program))
+                continue
+            obs = cone_obs.get(cone[0])
+            if obs is None:
+                obs = cone_obs[cone[0]] = tuple(i for i in cone if i in observed)
+            if obs:
+                force_idx = program.site if program.stem else -1
+                cone_faults.append(
+                    (position, program.site, program.word, force_idx, program.ops, obs)
+                )
+
+        found: Dict[int, int] = {}
+        if cone_faults:
+            self._detect_cones(cone_faults, seq_words, masks, initial_state, found)
+        if sequential:
+            good_trace = self._good_trace(seq_words, obs_idx, initial_state)
+            for position, program in sequential:
+                cycle = self._simulate_fault(
+                    program, seq_words, good_trace, obs_idx, masks, initial_state
+                )
+                if cycle is not None:
+                    found[position] = cycle
+        return {fault_list[p].describe(): found[p] for p in sorted(found)}
+
+    def _detect_cones(
+        self,
+        active: List[_ConeFault],
+        seq_words: List[List[int]],
+        masks: List[int],
+        initial_state: List[int],
+        found: Dict[int, int],
+    ) -> None:
+        """Cycle-major cone propagation; records ``found[position] = cycle``.
+
+        Each cycle evaluates the good circuit once into ``G``.  A remaining
+        fault whose line already carries the stuck value in every valid
+        lane changes nothing this cycle; every other one copies ``G``,
+        applies its force or branch closure, runs its cone, and compares
+        its observed cone points with ``G`` under the cycle's lane mask.
+        """
+        G = [0] * len(self._index)
+        pi_idx = self._pi_idx
+        state_idx = self._state_idx
+        data_idx = self._data_idx
+        good_eval = self._good_eval
+        state = initial_state
+        for cycle_index, words in enumerate(seq_words):
+            for i, w in zip(pi_idx, words):
+                G[i] = w
+            for i, w in zip(state_idx, state):
+                G[i] = w
+            good_eval(G)
+            lane_mask = masks[cycle_index]
+            survivors = []
+            for entry in active:
+                position, site, word, force_idx, ops, obs = entry
+                if not (G[site] ^ word) & lane_mask:
+                    survivors.append(entry)
+                    continue
+                W = G[:]
+                if force_idx >= 0:
+                    W[force_idx] = word
+                for op in ops:
+                    op(W)
+                for i in obs:
+                    if (W[i] ^ G[i]) & lane_mask:
+                        found[position] = cycle_index + 1
+                        break
+                else:
+                    survivors.append(entry)
+            active = survivors
+            if not active:
+                return
+            state = [G[i] for i in data_idx]
+
     def _simulate_fault(
         self,
-        fault: StuckAtFault,
+        program: _Program,
         seq_words: List[List[int]],
         good_trace: List[List[int]],
         obs_idx: List[int],
         masks: List[int],
         initial_state: List[int],
     ) -> Optional[int]:
-        """First detection cycle of ``fault``, or ``None`` if undetected."""
-        prefix, suffix, pre_force, mid_force, capture = self._fault_program(fault)
+        """Sequential path: first detection cycle of one fault, or ``None``.
+
+        The faulty machine keeps its own state; each cycle evaluates the
+        good circuit from that state, then applies the fault and its cone.
+        """
+        site, word, stem, ops, _, capture = program
         V = [0] * len(self._index)
         pi_idx = self._pi_idx
         state_idx = self._state_idx
         data_idx = self._data_idx
+        good_eval = self._good_eval
         state = list(initial_state)
 
         for cycle_index, words in enumerate(seq_words):
@@ -523,13 +697,10 @@ class CompiledFaultEngine:
                 V[i] = w
             for i, w in zip(state_idx, state):
                 V[i] = w
-            if pre_force is not None:
-                V[pre_force[0]] = pre_force[1]
-            for op in prefix:
-                op(V)
-            if mid_force is not None:
-                V[mid_force[0]] = mid_force[1]
-            for op in suffix:
+            good_eval(V)
+            if stem:
+                V[site] = word
+            for op in ops:
                 op(V)
 
             lane_mask = masks[cycle_index]
@@ -540,7 +711,7 @@ class CompiledFaultEngine:
 
             state = [V[i] for i in data_idx]
             if capture is not None:
-                state[capture[0]] = capture[1]
+                state[capture] = word
         return None
 
     def _run_sharded(

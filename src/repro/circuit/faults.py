@@ -73,6 +73,17 @@ def random_pattern_lane_masks(pattern_count: int, word_width: int) -> Tuple[int,
     return words, lane_masks
 
 
+def observation_points(netlist: Netlist, observe: Optional[Sequence[str]]) -> List[str]:
+    """The signals a fault is detected at: ``observe``, or by default the
+    primary outputs plus every flip-flop's data signal (what a signature
+    register captures)."""
+    if observe is not None:
+        return list(observe)
+    points = list(netlist.primary_outputs)
+    points.extend(ff.data for ff in netlist.flip_flops)
+    return points
+
+
 def _fanout_counts(netlist: Netlist) -> Dict[str, int]:
     """Number of consumers (gate-input occurrences plus flip-flops) per signal."""
     fanout: Dict[str, int] = {}
@@ -278,13 +289,6 @@ class FaultSimulator:
 
             self._compiled = CompiledFaultEngine(netlist, word_width)
 
-    def _observation_points(self, observe: Optional[Sequence[str]]) -> List[str]:
-        if observe is not None:
-            return list(observe)
-        points = list(self.netlist.primary_outputs)
-        points.extend(ff.data for ff in self.netlist.flip_flops)
-        return points
-
     def run(
         self,
         input_sequence: Sequence[Mapping[str, int]],
@@ -303,6 +307,17 @@ class FaultSimulator:
         sequence, so sequential fault effects (faults that need several
         cycles to propagate) are handled correctly.
 
+        ``observe`` defaults to the primary outputs plus every flip-flop
+        data signal.  With that default an undetected fault enters each
+        cycle with the good state, so the compiled engine simulates it on
+        its fanout cone only, cycle by cycle, from the good values.  It
+        falls back to a sequential per-fault run, with the fault's own
+        state, for flip-flop-branch faults, for faults whose cone reaches a
+        data signal an explicit ``observe`` list leaves out, and for every
+        fault when ``lane_masks`` leave a lane invalid before the last
+        word (see :mod:`repro.circuit.engine`).  The legacy engine always
+        runs every fault sequentially.  Both give identical results.
+
         ``lane_masks`` optionally restricts the valid pattern lanes per
         cycle (one mask per input word); lanes outside the mask are ignored
         by the detection comparison, which is how partial final words are
@@ -313,7 +328,7 @@ class FaultSimulator:
             return self._compiled.run(
                 input_sequence,
                 fault_list,
-                observe=self._observation_points(observe),
+                observe=observe,
                 initial_state=initial_state,
                 stop_when_all_detected=stop_when_all_detected,
                 lane_masks=lane_masks,
@@ -338,7 +353,7 @@ class FaultSimulator:
         lane_masks: Optional[Sequence[int]] = None,
     ) -> FaultSimulationResult:
         """The original interpreted serial-fault loop (reference implementation)."""
-        observation = self._observation_points(observe)
+        observation = observation_points(self.netlist, observe)
         full_mask = self.simulator.mask
 
         good_state = dict(initial_state) if initial_state is not None else self.simulator.reset_state()

@@ -10,7 +10,11 @@ that applies at the case's size:
 * ``seed-stability`` — resolving the same corpus spec twice produces a
   digest-identical machine,
 * ``engine-parity`` — compiled and legacy fault simulators agree on the
-  full fault→detection-cycle map at every checked word width,
+  full fault→detection-cycle map at every checked word width, and on
+  multi-word sequences down every route of the compiled engine (its cone
+  path, and each fallback: an ``observe`` list without a flip-flop data
+  signal, a partial lane mask before the last word, flip-flop-branch
+  faults — plus an explicit initial state, which stays on the cone path),
 * ``score-parity`` — incremental and reference assignment scorers produce
   the same encoding and the same cost,
 * ``shard-merge`` — a ``faultsim_shards=k`` run merges bit-identically to
@@ -36,6 +40,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..circuit.engine import CompiledFaultEngine
+from ..circuit.faults import (
+    FaultSimulator,
+    enumerate_faults,
+    observation_points,
+    random_input_words,
+)
+from ..circuit.netlist import Netlist, netlist_from_controller
+from ..circuit.simulate import StuckAtFault
 from ..flow.cache import ArtifactCache
 from ..flow.config import FlowConfig
 from ..flow.pipeline import fsm_digest, resolve_fsm, run_flow
@@ -68,6 +81,8 @@ FUZZ_SCHEMA_VERSION = "repro.fuzz/1"
 MUTATIONS: Dict[str, str] = {
     "engine-legacy-drop": "legacy fault simulator silently loses its last "
                           "detected fault (engine-parity must catch it)",
+    "engine-cone-drop": "compiled fault simulator's fanout cones lose their "
+                        "last gate (engine-parity must catch it)",
     "score-reference-offset": "reference scorer reports cost+1 "
                               "(score-parity must catch it)",
     "shard-drop": "sharded faultsim merge under-counts detections by one "
@@ -181,12 +196,66 @@ def _check_seed_stability(
     return None
 
 
+class _ConeDropEngine(CompiledFaultEngine):
+    """The ``engine-cone-drop`` mutation: every fanout cone loses its last op."""
+
+    def _cone(self, idx: int) -> Tuple[Tuple[Any, ...], Tuple[int, ...]]:
+        ops, cone = super()._cone(idx)
+        return ops[:-1], cone
+
+
+#: Faults per route run at most: the legacy side of a three-word run costs
+#: three whole-netlist evaluations per fault, so large machines are sampled.
+_ROUTE_FAULTS = 400
+
+
+def _engine_routes(
+    circuit: Netlist, faults: List[StuckAtFault], width: int, seed: int
+) -> List[Tuple[str, Dict[str, Any]]]:
+    """``FaultSimulator.run`` arguments that drive every compiled-engine
+    route over a three-word sequence: ``(label, kwargs)`` pairs.  Lists
+    longer than ``_ROUTE_FAULTS`` are thinned to an evenly spaced sample."""
+    stride = max(1, (len(faults) + _ROUTE_FAULTS - 1) // _ROUTE_FAULTS)
+    faults = faults[::stride]
+    rng = random.Random(seed)
+    mask = (1 << width) - 1
+    sequence = random_input_words(circuit.primary_inputs, 3, width, seed=seed)
+    flip_flops = circuit.flip_flops
+    routes: List[Tuple[str, Dict[str, Any]]] = [
+        ("multi-word", {}),
+        ("initial-state",
+         {"initial_state": {ff.state: rng.getrandbits(width) for ff in flip_flops}}),
+        # One valid lane in the first word: faults may diverge unseen in
+        # the others, which the full second word then observes.
+        ("partial-lane-mask", {"lane_masks": [1, mask, rng.getrandbits(width)]}),
+        ("flip-flop-branch", {"faults": faults + [
+            StuckAtFault(ff.data, value, gate_input=ff.state)
+            for ff in flip_flops for value in (0, 1)
+        ]}),
+    ]
+    if flip_flops:
+        dropped = flip_flops[0].data
+        observe = [p for p in observation_points(circuit, None) if p != dropped]
+        routes.append(("observe-without-data", {"observe": observe}))
+    for _, kwargs in routes:
+        kwargs.setdefault("faults", faults)
+        kwargs["input_sequence"] = sequence
+    return routes
+
+
+def _map_difference(compiled: Mapping[str, int], legacy: Mapping[str, int]) -> str:
+    only_c = set(compiled) - set(legacy)
+    only_l = set(legacy) - set(compiled)
+    moved = sum(1 for f in set(compiled) & set(legacy) if compiled[f] != legacy[f])
+    return (
+        f"detection maps differ (compiled-only={len(only_c)}, "
+        f"legacy-only={len(only_l)}, cycle-mismatch={moved})"
+    )
+
+
 def _check_engine_parity(
     fsm: FSM, cfg: FlowConfig, case: FuzzCase, mutation: Optional[str]
 ) -> Optional[str]:
-    from ..circuit.faults import FaultSimulator, enumerate_faults
-    from ..circuit.netlist import netlist_from_controller
-
     result = run_flow(fsm, cfg.replace(fault_patterns=None), materialize=True)
     controller = result.controller
     if controller is None:  # pragma: no cover - materialize=True always attaches it
@@ -194,29 +263,34 @@ def _check_engine_parity(
     circuit = netlist_from_controller(controller)
     faults = enumerate_faults(circuit, collapse=cfg.fault_collapse)
     patterns = cfg.fault_patterns if cfg.fault_patterns else 32
+    route_width = min(case.word_widths)
     for width in case.word_widths:
-        maps: Dict[str, Dict[str, int]] = {}
+        simulators: Dict[str, FaultSimulator] = {}
         for engine in ("compiled", "legacy"):
-            simulator = FaultSimulator(circuit, word_width=width, engine=engine)
-            sim = simulator.coverage_for_random_patterns(
+            simulators[engine] = FaultSimulator(circuit, word_width=width, engine=engine)
+        if mutation == "engine-cone-drop":
+            simulators["compiled"]._compiled = _ConeDropEngine(circuit, width)
+        runs: List[Tuple[str, Callable[[FaultSimulator], Any]]] = [(
+            "random patterns",
+            lambda sim: sim.coverage_for_random_patterns(
                 patterns, seed=cfg.fault_seed, faults=faults
-            )
-            cycles = dict(sim.detection_cycle)
-            if mutation == "engine-legacy-drop" and engine == "legacy" and cycles:
-                cycles.pop(max(cycles))
-            maps[engine] = cycles
-        if maps["compiled"] != maps["legacy"]:
-            only_c = set(maps["compiled"]) - set(maps["legacy"])
-            only_l = set(maps["legacy"]) - set(maps["compiled"])
-            moved = sum(
-                1 for f in set(maps["compiled"]) & set(maps["legacy"])
-                if maps["compiled"][f] != maps["legacy"][f]
-            )
-            return (
-                f"word width {width}: detection maps differ "
-                f"(compiled-only={len(only_c)}, legacy-only={len(only_l)}, "
-                f"cycle-mismatch={moved})"
-            )
+            ),
+        )]
+        if width == route_width:
+            for label, kwargs in _engine_routes(circuit, faults, width, cfg.fault_seed):
+                runs.append((label, lambda sim, kwargs=kwargs: sim.run(**kwargs)))
+        for label, simulate in runs:
+            maps: Dict[str, Dict[str, int]] = {}
+            for engine, simulator in simulators.items():
+                cycles = dict(simulate(simulator).detection_cycle)
+                if mutation == "engine-legacy-drop" and engine == "legacy" and cycles:
+                    cycles.pop(max(cycles))
+                maps[engine] = cycles
+            if maps["compiled"] != maps["legacy"]:
+                return (
+                    f"word width {width}, {label}: "
+                    f"{_map_difference(maps['compiled'], maps['legacy'])}"
+                )
     return None
 
 

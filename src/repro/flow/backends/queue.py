@@ -73,7 +73,7 @@ from .base import ExecutionReport, SweepExecutor
 
 __all__ = ["QueuePaths", "QueueExecutor", "RetryPolicy", "queue_paths",
            "ensure_queue_dirs", "write_json_atomic", "read_json",
-           "sign_payload", "verify_payload", "payload_digest"]
+           "sign_payload", "verify_payload", "payload_digest", "canonical_json"]
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,16 @@ def read_json(path: Path) -> Optional[Dict[str, Any]]:
 # -------------------------------------------------------------- integrity
 
 
+def canonical_json(body: Mapping[str, Any]) -> bytes:
+    """The canonical UTF-8 JSON of a payload body (the ``sha256`` field
+    excluded): sorted keys, no whitespace — the bytes its digest hashes."""
+    canonical = {key: body[key] for key in sorted(body) if key != "sha256"}
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def payload_digest(body: Mapping[str, Any]) -> str:
     """Canonical sha256 of a payload body (the ``sha256`` field excluded)."""
-    canonical = {key: body[key] for key in sorted(body) if key != "sha256"}
-    return hashlib.sha256(
-        json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    return hashlib.sha256(canonical_json(body)).hexdigest()
 
 
 def sign_payload(body: Mapping[str, Any]) -> Dict[str, Any]:

@@ -55,9 +55,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .. import chaos
-from ..backends.queue import RetryPolicy, _same_error, sign_payload, verify_payload
+from ..backends.queue import RetryPolicy, _same_error, verify_payload
 from ..cache import ArtifactCache
-from .protocol import NET_SCHEMA, TRY_HEADER, site_label
+from .protocol import NET_SCHEMA, TRY_HEADER, signed_body, site_label
 
 __all__ = ["Coordinator", "CoordinatorHandle", "run_coordinator"]
 
@@ -587,7 +587,7 @@ class Coordinator:
                 status, payload, keep_alive = await self._serve_one(request_line, reader)
                 keep_alive = keep_alive and not self._closing
                 self._totals["requests"] += 1
-                body = json.dumps(sign_payload(payload), separators=(",", ":")).encode("utf-8")
+                body = signed_body(payload)
                 head = (
                     f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
                     f"Content-Type: application/json\r\n"

@@ -28,6 +28,7 @@ partition.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import os
@@ -37,7 +38,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .. import chaos
-from ..backends.queue import sign_payload, verify_payload
+from ..backends.queue import canonical_json, verify_payload
 
 __all__ = [
     "NET_SCHEMA",
@@ -94,10 +95,16 @@ def site_label(method: str, path: str) -> str:
 
 
 def signed_body(payload: Mapping[str, Any]) -> bytes:
-    """Serialize a payload with its integrity signature (UTF-8 JSON)."""
-    return json.dumps(
-        sign_payload(dict(payload)), separators=(",", ":")
-    ).encode("utf-8")
+    """Serialize a payload with its integrity signature (UTF-8 JSON).
+
+    The payload is encoded once, canonically: the sha256 of those bytes is
+    the signature, and the ``sha256`` field is spliced into them as the
+    last member, so :func:`verify_payload` accepts the parsed body.
+    """
+    canonical = canonical_json(payload)
+    digest = hashlib.sha256(canonical).hexdigest().encode("ascii")
+    separator = b"," if len(canonical) > 2 else b""  # b"{}" has no members
+    return canonical[:-1] + separator + b'"sha256":"' + digest + b'"}'
 
 
 def _parse_response(raw: bytes) -> Dict[str, Any]:

@@ -20,6 +20,12 @@ Cells are shipped as ``(name, KISS2 text, state order, config dict)``
 payloads — JSON-safe, which is what lets the queue backend distribute
 them across processes and hosts.
 
+Each phase hands its cells to the executor *leader first*
+(:func:`leader_first`): the first cell of every assign family goes out
+before any of its siblings, so concurrent workers do not compute one
+shared assign artifact twice.  Outcomes merge by cell id, so the order
+changes no result.
+
 With ``faultsim_shards > 1`` (and a shared artifact cache) the sweep runs
 in two phases: every eligible flow cell's faultsim stage is first expanded
 into per-shard ``faultsim-shard`` sub-cells (:meth:`Sweep.shard_cells`) —
@@ -35,19 +41,19 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..bist.structures import BISTStructure
 from ..fsm.kiss import write_kiss
 from ..fsm.machine import FSM
 from .backends import ExecutionReport, RetryPolicy, SweepExecutor, resolve_backend
-from .cache import ArtifactCache
+from .cache import ArtifactCache, artifact_key
 from .cells import BaselineResult, cell_id, run_cell
 from .config import FlowConfig
-from .pipeline import FSMSource, resolve_fsm
+from .pipeline import FSMSource, fsm_digest, resolve_fsm
 from .results import FlowResult, jsonable
 
-__all__ = ["Sweep", "SweepResult", "BaselineResult"]
+__all__ = ["Sweep", "SweepResult", "BaselineResult", "leader_first"]
 
 SWEEP_RESULT_SCHEMA = "repro.flow-sweep/3"
 
@@ -369,8 +375,14 @@ class Sweep:
         shard_failed: Dict[str, Dict[str, Any]] = {}
         shard_report: Optional[ExecutionReport] = None
         if shard_tasks:
-            shard_report = self.executor.execute(shard_tasks, fsms=fsms, cache=self.cache)
-            for task, outcome in zip(shard_tasks, shard_report.outcomes):
+            shard_order = leader_first(shard_tasks, fsms)
+            shard_report = self.executor.execute(shard_order, fsms=fsms, cache=self.cache)
+            shard_outcomes = {
+                task["cell"]: outcome
+                for task, outcome in zip(shard_order, shard_report.outcomes)
+            }
+            for task in shard_tasks:
+                outcome = shard_outcomes[task["cell"]]
                 shard_index = int(task["shard_index"])
                 if outcome.get("error"):
                     if self.strict:
@@ -427,7 +439,9 @@ class Sweep:
                 })
 
         # Phase 2 — the cells themselves (minus shard-failed parents).
-        pending = [task for task in tasks if task["cell"] not in shard_failed]
+        pending = leader_first(
+            [task for task in tasks if task["cell"] not in shard_failed], fsms
+        )
         report = self.executor.execute(pending, fsms=fsms, cache=self.cache)
         outcome_by_cell = {
             task["cell"]: outcome for task, outcome in zip(pending, report.outcomes)
@@ -510,6 +524,54 @@ class Sweep:
             status="partial" if failed_cells else "complete",
             failed_cells=tuple(failed_cells),
         )
+
+
+def leader_first(
+    tasks: Sequence[Dict[str, Any]], fsms: Mapping[str, FSM]
+) -> List[Dict[str, Any]]:
+    """``tasks`` with the first cell of every assign family moved to the front.
+
+    Cells whose assign stage has one artifact key form a family: the PST
+    and SIG cells of one seed, the DFF (or PAT) cells of every seed, a
+    flow cell's faultsim shards.  A worker that claims a sibling while
+    the family's first cell still runs elsewhere would compute the shared
+    artifact again; leaders first lets every sibling find it cached.
+    Baseline cells have no assign stage and count as leaders, as does a
+    cell whose configuration does not parse (it fails worker-side, where
+    its error is recorded).  Leaders, then the rest, each keep their
+    original order.
+    """
+    digests: Dict[str, str] = {}
+    families: Set[str] = set()
+    leaders: List[Dict[str, Any]] = []
+    rest: List[Dict[str, Any]] = []
+    for task in tasks:
+        family = _assign_family(task, fsms, digests)
+        if family in families:
+            rest.append(task)
+        else:
+            leaders.append(task)
+            if family is not None:
+                families.add(family)
+    return leaders + rest
+
+
+def _assign_family(
+    task: Mapping[str, Any], fsms: Mapping[str, FSM], digests: Dict[str, str]
+) -> Optional[str]:
+    """The assign artifact key of a flow or shard cell; ``None`` for a
+    baseline cell or a configuration that does not parse.  ``digests``
+    memoises machine digests by name."""
+    if task["kind"] == "baseline":
+        return None
+    try:
+        config = FlowConfig.from_dict(task["config"])
+    except (KeyError, TypeError, ValueError):  # repro: allow-swallowed-exception -- ordering only; the worker runs the cell and records this very error
+        return None
+    name = task["name"]
+    if name not in digests:
+        digests[name] = fsm_digest(fsms[name])
+    return artifact_key(digests[name], "assign", config.stage_digest("assign"))
 
 
 def _render_cell_error(error: Any) -> str:

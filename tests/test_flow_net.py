@@ -41,7 +41,11 @@ from repro.flow import (
     run_worker,
     set_active_plan,
 )
+from repro.flow.backends.queue import payload_digest
 from repro.flow.net import NET_SCHEMA
+from repro.flow.pipeline import stage_keys
+from repro.flow.sweep import leader_first
+from repro.fsm import load_benchmark
 from repro.flow.net.coordinator import Coordinator, free_port
 from repro.flow.net.protocol import (
     CoordinatorError,
@@ -126,6 +130,23 @@ class TestProtocol:
             _parse_response(b'{"torn": ')
         with pytest.raises(IntegrityError, match="not a JSON object"):
             _parse_response(b"[1, 2]")
+
+    def test_coordinator_reply_is_encoded_once_and_verifies(self):
+        """A reply's body is its canonical encoding with the signature
+        spliced in: it verifies, and one flipped byte fails the check."""
+        with CoordinatorHandle(port=0) as handle:
+            conn = http.client.HTTPConnection(*split_netloc(handle.url), timeout=5.0)
+            conn.request("GET", "/api/v1/health")
+            raw = conn.getresponse().read()
+            conn.close()
+        payload = _parse_response(raw)
+        assert payload["ok"] is True
+        assert raw == signed_body({"schema": NET_SCHEMA, "ok": True})
+        assert payload["sha256"] == payload_digest(payload)
+        at = raw.index(NET_SCHEMA.encode()) + len(NET_SCHEMA) - 1  # the "1" of /1
+        flipped = raw[:at] + b"2" + raw[at + 1:]
+        with pytest.raises(IntegrityError, match="sha256"):
+            _parse_response(flipped)
 
     def test_check_schema(self):
         check_schema({"schema": NET_SCHEMA})
@@ -720,6 +741,79 @@ class TestHttpSweepParity:
     def test_empty_task_list_never_touches_the_network(self):
         report = HttpExecutor("http://127.0.0.1:1").execute([])
         assert report.outcomes == [] and report.workers == 0
+
+
+# ------------------------------------------------- leader-first dispatch
+
+
+def _cell_label(task: dict) -> tuple:
+    if task["kind"] == "baseline":
+        return ("baseline", task["name"])
+    label = (task["name"], task["config"]["structure"], task["config"]["seed"])
+    return label + ((task["shard_index"],) if "shard_index" in task else ())
+
+
+class TestLeaderFirstDispatch:
+    def test_leaders_of_every_assign_family_go_first(self, tmp_path):
+        config = FlowConfig(fault_patterns=64, faultsim_shards=2)
+        sweep = Sweep(["dk512", "ex4"], structures=("DFF", "SIG", "PST"),
+                      seeds=(1, 2), config=config, random_trials=2,
+                      cache=tmp_path / "cache")
+        fsms = {fsm.name: fsm for fsm in sweep.fsms}
+        tasks = sweep.cells()
+        # DFF cells share one assign artifact across seeds; the SIG and PST
+        # cells of one seed share another.  Baselines lead on their own.
+        leaders = [("baseline", "dk512"), ("dk512", "DFF", 1), ("dk512", "SIG", 1),
+                   ("dk512", "SIG", 2), ("baseline", "ex4"), ("ex4", "DFF", 1),
+                   ("ex4", "SIG", 1), ("ex4", "SIG", 2)]
+        rest = [(name, structure, seed) for name in ("dk512", "ex4")
+                for structure, seed in (("PST", 1), ("DFF", 2), ("PST", 2))]
+        ordered = leader_first(tasks, fsms)
+        assert [_cell_label(task) for task in ordered] == leaders + rest
+        assert sorted(task["cell"] for task in ordered) == [task["cell"] for task in tasks]
+
+        shards = leader_first(sweep.shard_cells(tasks), fsms)
+        assert [_cell_label(task) for task in shards[:6]] == [
+            (name, structure, seed, 0) for name in ("dk512", "ex4")
+            for structure, seed in (("DFF", 1), ("SIG", 1), ("SIG", 2))
+        ]
+        assert len(shards) == 24
+
+    def test_unparseable_cell_keeps_its_place_among_the_leaders(self):
+        sweep = Sweep(["dk512"], structures=("PST", "SIG"))
+        tasks = sweep.cells()
+        tasks[1]["config"]["structure"] = "BOGUS"
+        fsms = {fsm.name: fsm for fsm in sweep.fsms}
+        assert leader_first(tasks, fsms) == tasks
+
+    def test_two_workers_compute_each_assign_artifact_once(self, tmp_path):
+        seeds = (1, 2, 3, 4)
+        structures = ("DFF", "PAT", "SIG", "PST")
+        serial = Sweep(["dk512"], structures=structures, seeds=seeds).run()
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            url = handle.url
+            threads = [start_worker_thread(url, f"w{i}", cache_dir=tmp_path / f"w{i}")
+                       for i in range(2)]
+            result = Sweep(["dk512"], structures=structures, seeds=seeds,
+                           coordinator_url=url, queue_timeout=120).run()
+            request_with_retry(f"{url}/api/v1/stop", "POST", tries=3)
+            for thread in threads:
+                thread.join(timeout=30)
+        assert result.status == "complete"
+        assert normalized(result.to_dict()) == normalized(serial.to_dict())
+        assert ([cell["cell"] for cell in result.executor["cells"]]
+                == [cell["cell"] for cell in serial.executor["cells"]])
+
+        fsm = load_benchmark("dk512")
+        computed = [
+            stage_keys(fsm, FlowConfig.from_dict(cell.config))["assign"]
+            for cell in result.results if not cell.stage("assign").cached
+        ]
+        families = {stage_keys(fsm, FlowConfig.from_dict(cell.config))["assign"]
+                    for cell in result.results}
+        assert len(families) == 2 + len(seeds)  # DFF, PAT, one MISR key per seed
+        assert sorted(computed) == sorted(families)
+        assert result.cache_stats["writes"] == len(ArtifactCache(tmp_path / "coord"))
 
 
 # ----------------------------------------------------- worker lifecycle
