@@ -5,9 +5,9 @@ This script is the blocking ``fuzz`` CI job.  It runs two phases:
 
 1. **Clean sweep** — a bounded seeded ``run_fuzz`` (default 15 cases,
    seed 0) over generated corpus machines; every cross-engine invariant
-   (compiled==legacy detections, incremental==reference scores,
-   sharded==unsharded merges, KISS2 round-trip digests, warm==cold cache)
-   must hold on every case, including the >=200-state tier.
+   (compiled==legacy detections, incremental==reference scores, KISS2
+   round-trip digests, warm==cold cache) must hold on every case,
+   including the >=200-state tier.
 2. **Mutation smoke** — the same harness with ``--mutate
    engine-legacy-drop`` (a deliberately broken legacy fault simulator)
    and with ``--mutate engine-cone-drop`` (a compiled fault simulator

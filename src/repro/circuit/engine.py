@@ -21,10 +21,10 @@ evaluation program* and single-fault propagation over fanout cones
   lane mask, and a fault is *dropped* the moment it is detected; the run
   is cycle-major, so the good circuit is evaluated once per cycle however
   many faults remain,
-* the fault list can be sharded across worker processes
-  (:class:`concurrent.futures.ProcessPoolExecutor`); shards are merged
-  deterministically (per-fault results are independent, so the merged
-  detection cycles equal a single-process run exactly).
+* with ``jobs > 1`` the fault list is split across worker processes
+  (:class:`concurrent.futures.ProcessPoolExecutor`) and the slices are
+  merged deterministically (per-fault results are independent, so the
+  merged detection cycles equal a single-process run exactly).
 
 The cone path is exact because the default observation points include
 every flip-flop data signal: a fault that changes the next state in a
@@ -82,7 +82,7 @@ from .simulate import StuckAtFault
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a circular import
     from .faults import FaultSimulationResult
 
-__all__ = ["CompiledFaultEngine", "merge_shard_detections", "partition_faults"]
+__all__ = ["CompiledFaultEngine", "partition_faults"]
 
 Op = Callable[[List[int]], None]
 #: ``(position, site, word, force_idx, ops, observed cone points)`` of one
@@ -117,16 +117,12 @@ def partition_faults(
     Returns exactly ``shard_count`` contiguous slices whose sizes differ by
     at most one (the first ``len(faults) % shard_count`` shards take the
     extra fault); concatenating the shards in order reproduces the input
-    list exactly.  Both the local process-pool sharding
-    (:meth:`CompiledFaultEngine.run` with ``jobs > 1``) and the distributed
-    ``faultsim_shards`` sub-cells of the flow layer partition through this
-    one function, so shard membership provably agrees everywhere for a
-    given ``(fault list, shard_count)`` — which is what lets a shard
-    artifact be addressed by nothing more than ``shard_index/shard_count``.
+    list exactly.  :meth:`CompiledFaultEngine.run` with ``jobs > 1`` hands
+    one slice to each worker process.
 
     Shards may be empty when ``shard_count`` exceeds the fault count; every
     fault's simulation is independent, so the merged result is identical at
-    every shard count (see :func:`merge_shard_detections`).
+    every shard count.
     """
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
@@ -139,62 +135,6 @@ def partition_faults(
         shards.append(list(faults[start:start + size]))
         start += size
     return shards
-
-
-def merge_shard_detections(
-    shard_detections: Sequence[Mapping[str, int]],
-    *,
-    total_faults: int,
-    n_cycles: int,
-    lane_masks: Sequence[int],
-    stop_when_all_detected: bool = True,
-) -> "FaultSimulationResult":
-    """Merge per-shard detection cycles into one complete result.
-
-    ``shard_detections`` are the ``detection_cycle`` mappings of disjoint
-    fault-list shards (see :func:`partition_faults`) simulated over the
-    *same* input sequence.  Per-fault detection cycles are independent of
-    shard boundaries, so the union plus the engine's own
-    cycles/patterns-accounting tail reconstructs a
-    :class:`~repro.circuit.faults.FaultSimulationResult` bit-identical to
-    an unsharded run — including the coverage curve, which derives purely
-    from the merged detection cycles.
-
-    ``n_cycles`` and ``lane_masks`` describe the simulated sequence (one
-    mask of valid pattern lanes per input word); ``total_faults`` is the
-    size of the *full* fault list, which the early-stopping rule needs to
-    decide whether every fault was detected.
-    """
-    from .faults import FaultSimulationResult
-
-    if len(lane_masks) < n_cycles:
-        raise ValueError("lane_masks must provide one mask per input word")
-    result = FaultSimulationResult(total_faults=total_faults)
-    if n_cycles == 0:
-        return result
-    masks = list(lane_masks[:n_cycles])
-    if total_faults == 0:
-        # Match the engine (and the legacy loop) exactly: with early
-        # stopping the first cycle still executes before the empty fault
-        # list is noticed.
-        cycles = 1 if stop_when_all_detected else n_cycles
-        result.cycles_simulated = cycles
-        result.patterns_simulated = sum(bin(m).count("1") for m in masks[:cycles])
-        return result
-    detection: Dict[str, int] = {}
-    for shard in shard_detections:
-        detection.update(shard)
-    for key, cycle in detection.items():
-        result.detected.add(key)
-        result.detection_cycle[key] = cycle
-    if stop_when_all_detected and len(detection) == total_faults:
-        result.cycles_simulated = max(detection.values()) if detection else 0
-    else:
-        result.cycles_simulated = n_cycles
-    result.patterns_simulated = sum(
-        bin(masks[c]).count("1") for c in range(result.cycles_simulated)
-    )
-    return result
 
 
 def _const_op(out: int, value: int) -> Op:

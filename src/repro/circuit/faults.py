@@ -60,9 +60,7 @@ def random_pattern_lane_masks(pattern_count: int, word_width: int) -> Tuple[int,
     Returns ``(words, lane_masks)`` exactly as
     :meth:`FaultSimulator.coverage_for_random_patterns` derives them: full
     words except a final partial word whose invalid lanes are masked out.
-    Exposed so shard merging (:func:`repro.circuit.engine.merge_shard_detections`)
-    can reconstruct the cycles/patterns accounting of an unsharded run
-    without re-simulating anything.  ``(0, [])`` when ``pattern_count <= 0``.
+    ``(0, [])`` when ``pattern_count <= 0``.
     """
     if pattern_count <= 0:
         return 0, []

@@ -36,8 +36,7 @@ the content-addressed artifact cache so re-runs skip unchanged stages.
   gracefully after finishing in-flight work),
 * ``repro fsck queue-dir`` — audit (``--repair``: fix) the invariants of a
   work-queue directory: leftover temp files, corrupt payloads, orphaned or
-  duplicated claims, stale worker registrations, orphaned faultsim shard
-  artifacts,
+  duplicated claims, stale worker registrations,
 * ``repro cache stats|clear|gc`` — inspect, empty or size-bound an artifact
   cache directory (LRU eviction by last use),
 * ``repro corpus list|show|gen|ingest`` — the parameterized FSM corpus:
@@ -47,8 +46,8 @@ the content-addressed artifact cache so re-runs skip unchanged stages.
   specs are accepted anywhere a machine name is, including ``sweep``),
 * ``repro fuzz --cases 50 --seed 0`` — randomized cross-engine invariant
   harness over generated corpus machines (compiled==legacy detections,
-  incremental==reference scores, sharded==unsharded merges, KISS2
-  round-trip digests, warm==cold cache); failures are minimized and
+  incremental==reference scores, KISS2 round-trip digests, warm==cold
+  cache); failures are minimized and
   emitted as ``repro.fuzz/1`` JSON, and ``repro fuzz --repro case.json``
   deterministically replays one,
 * ``repro lint`` — run the AST invariant linter (determinism, digest
@@ -64,10 +63,9 @@ the content-addressed artifact cache so re-runs skip unchanged stages.
 shared ``--queue-dir`` serviced by any number of ``repro worker``
 processes, the http backend through a ``repro serve`` coordinator named
 by ``--coordinator-url``, and both are bit-identical to the serial
-backend at every worker count.  ``--faultsim-shards N`` additionally
-splits each cell's faultsim stage into ``N`` content-addressed shard
-sub-cells the chosen backend schedules like ordinary cells — the merged
-result is bit-identical at every shard count.
+backend at every worker count.  Backends parallelise across cells; a
+single flow run (``synthesize``, ``compare``, ``faultsim``) splits its
+fault list across ``--jobs N`` processes instead.
 
 Invoke as ``python -m repro ...`` (an entry point is intentionally avoided so
 the offline editable install stays trivial).

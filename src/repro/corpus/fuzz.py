@@ -1,6 +1,6 @@
 """Cross-engine differential fuzzing over the corpus (the ``repro fuzz`` core).
 
-The reproduction carries five independently-implemented engine pairs that
+The reproduction carries independently-implemented engine pairs that
 are exact oracles for each other; this harness drives seeded random corpus
 machines through synthesize→faultsim and checks, per case, every invariant
 that applies at the case's size:
@@ -17,8 +17,6 @@ that applies at the case's size:
   faults — plus an explicit initial state, which stays on the cone path),
 * ``score-parity`` — incremental and reference assignment scorers produce
   the same encoding and the same cost,
-* ``shard-merge`` — a ``faultsim_shards=k`` run merges bit-identically to
-  the unsharded run,
 * ``cache-parity`` — a warm-cache rerun reproduces the cold run's metrics
   with every work stage served from the cache.
 
@@ -85,8 +83,6 @@ MUTATIONS: Dict[str, str] = {
                         "last gate (engine-parity must catch it)",
     "score-reference-offset": "reference scorer reports cost+1 "
                               "(score-parity must catch it)",
-    "shard-drop": "sharded faultsim merge under-counts detections by one "
-                  "(shard-merge must catch it)",
     "kiss-swap-lines": "KISS2 writer emits the first two transitions swapped "
                        "(kiss-roundtrip must catch it)",
     "seed-drift": "corpus generator ignores the requested seed "
@@ -109,7 +105,6 @@ class FuzzCase:
     config: Dict[str, Any]
     invariants: Tuple[str, ...]
     word_widths: Tuple[int, ...] = (8, 64)
-    shards: int = 2
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -120,7 +115,6 @@ class FuzzCase:
             "config": dict(self.config),
             "invariants": list(self.invariants),
             "word_widths": list(self.word_widths),
-            "shards": self.shards,
         }
 
     @classmethod
@@ -139,7 +133,6 @@ class FuzzCase:
             config=dict(data["config"]),
             invariants=tuple(data["invariants"]),
             word_widths=tuple(int(w) for w in data.get("word_widths", (8, 64))),
-            shards=int(data.get("shards", 2)),
         )
 
 
@@ -310,25 +303,6 @@ def _check_score_parity(
     return None
 
 
-def _check_shard_merge(
-    fsm: FSM, cfg: FlowConfig, case: FuzzCase, mutation: Optional[str]
-) -> Optional[str]:
-    if cfg.fault_patterns is None:
-        raise ValueError("shard-merge invariant needs fault_patterns in the case config")
-    unsharded = _flow(fsm, cfg, faultsim_shards=1)
-    sharded = _flow(fsm, cfg, faultsim_shards=max(2, case.shards))
-    base = _stage_metrics(unsharded, "faultsim")
-    merged = _stage_metrics(sharded, "faultsim")
-    if mutation == "shard-drop" and isinstance(merged.get("detected"), int):
-        merged["detected"] = merged["detected"] - 1
-    if base != merged:
-        diff = sorted(k for k in set(base) | set(merged) if base.get(k) != merged.get(k))
-        return f"sharded faultsim metrics differ from unsharded: {', '.join(diff)}"
-    if unsharded.coverage_curve != sharded.coverage_curve:
-        return "sharded coverage curve differs from unsharded"
-    return None
-
-
 _WORK_STAGES = ("assign", "excite", "minimize", "faultsim")
 
 
@@ -369,7 +343,6 @@ INVARIANTS: Dict[
     "seed-stability": _check_seed_stability,
     "engine-parity": _check_engine_parity,
     "score-parity": _check_score_parity,
-    "shard-merge": _check_shard_merge,
     "cache-parity": _check_cache_parity,
 }
 
@@ -456,13 +429,13 @@ def make_cases(count: int, seed: int = 0) -> List[FuzzCase]:
         invariants = ["kiss-roundtrip", "seed-stability"]
         word_widths: Tuple[int, ...] = (8, 64)
         if tier == "small":
-            invariants += ["engine-parity", "shard-merge", "cache-parity"]
+            invariants += ["engine-parity", "cache-parity"]
             if structure in ("PST", "SIG"):
                 invariants.append("score-parity")
             if case_id % 3 == 0:
                 word_widths = (8, 64, 256)
         elif tier == "medium":
-            invariants += ["engine-parity", "shard-merge", "cache-parity"]
+            invariants += ["engine-parity", "cache-parity"]
             word_widths = (32,)
             if structure in ("PST", "SIG") and states <= 48:
                 invariants.append("score-parity")
@@ -479,7 +452,6 @@ def make_cases(count: int, seed: int = 0) -> List[FuzzCase]:
                 config=config.to_dict(),
                 invariants=tuple(invariants),
                 word_widths=word_widths,
-                shards=2 + case_id % 3,
             )
         )
     return cases
@@ -565,7 +537,6 @@ def minimize_case(
         config=case.config,
         invariants=failing,
         word_widths=case.word_widths,
-        shards=case.shards,
     )
     for spec in _shrunk_specs(case.spec)[:budget]:
         candidate = FuzzCase(
@@ -574,7 +545,6 @@ def minimize_case(
             config=case.config,
             invariants=failing,
             word_widths=case.word_widths,
-            shards=case.shards,
         )
         if check_case(candidate, mutation)["status"] == "fail":
             return candidate

@@ -11,11 +11,9 @@ local process pool, a filesystem work-queue serviced by ``repro
 worker`` daemons (:mod:`repro.flow.worker`), or a ``repro serve`` HTTP
 coordinator (:mod:`repro.flow.net`) whose ``repro worker --url`` fleets
 and shared :class:`RemoteCache` tier span hosts with no shared
-filesystem at all.  With ``FlowConfig(faultsim_shards=N)`` the sweep also
-splits each cell's faultsim stage into ``N`` content-addressed
-``faultsim-shard`` sub-cells (:func:`run_faultsim_shard`,
-:func:`shard_artifact_key`) that every backend schedules like ordinary
-cells, with a merge bit-identical to the unsharded run.
+filesystem at all.  Sweeps parallelise across cells; one large run's
+fault list is split across processes by the fault simulator, with
+``FlowConfig(jobs=N)``.
 
 Every front end — the ``repro`` CLI, the benchmark harnesses under
 ``benchmarks/``, and remote workers — drives the engines of PR 1/2
@@ -34,7 +32,7 @@ from .backends import (
     SweepExecutor,
     resolve_backend,
 )
-from .cache import ArtifactCache, artifact_key, default_cache_dir, shard_artifact_key
+from .cache import ArtifactCache, artifact_key, default_cache_dir
 from .cells import (
     CellDeadlineExceeded,
     cell_id,
@@ -55,7 +53,7 @@ from .net import (
     run_coordinator,
     run_http_worker,
 )
-from .pipeline import fsm_digest, resolve_fsm, run_faultsim_shard, run_flow
+from .pipeline import fsm_digest, resolve_fsm, run_flow
 from .results import FLOW_RESULT_SCHEMA, FlowResult, StageResult
 from .sweep import BaselineResult, Sweep, SweepResult
 from .worker import WorkerStats, run_worker
@@ -64,14 +62,12 @@ __all__ = [
     "ArtifactCache",
     "artifact_key",
     "default_cache_dir",
-    "shard_artifact_key",
     "FLOW_STAGES",
     "FlowConfig",
     "add_flow_arguments",
     "config_from_args",
     "fsm_digest",
     "resolve_fsm",
-    "run_faultsim_shard",
     "run_flow",
     "FLOW_RESULT_SCHEMA",
     "FlowResult",

@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from . import chaos
 
-__all__ = ["ArtifactCache", "artifact_key", "default_cache_dir", "shard_artifact_key"]
+__all__ = ["ArtifactCache", "artifact_key", "default_cache_dir"]
 
 #: Environment variable naming a default cache directory for CLI runs.
 CACHE_ENV_VAR = "REPRO_FLOW_CACHE"
@@ -46,23 +46,6 @@ def artifact_key(fsm_digest: str, stage: str, config_digest: str) -> str:
     """The content address of one stage artifact."""
     payload = f"g{CACHE_GENERATION}\n{fsm_digest}\n{stage}\n{config_digest}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def shard_artifact_key(
-    fsm_digest: str, stage: str, config_digest: str, shard_index: int, shard_count: int
-) -> str:
-    """The content address of one fault-range shard of a stage artifact.
-
-    The shard coordinate ``shard_index/shard_count`` is folded into the
-    stage component, so shard artifacts live in the same cache namespace as
-    whole-stage artifacts and cache, resume, and dedupe independently — a
-    crashed shard retries without recomputing its siblings.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError("shard_index must be in [0, shard_count)")
-    return artifact_key(fsm_digest, f"{stage}:{shard_index}/{shard_count}", config_digest)
 
 
 def default_cache_dir() -> Optional[Path]:

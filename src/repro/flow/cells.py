@@ -1,11 +1,9 @@
 """Execution of one sweep cell from its serializable payload.
 
 A *cell* is the unit of sweep work: one ``(machine, structure, seed)``
-flow run, one Table 2 random-encoding baseline, or one fault-range shard
-of a flow cell's faultsim stage (``faultsim-shard``), shipped as a plain
+flow run or one Table 2 random-encoding baseline, shipped as a plain
 JSON-safe dictionary (machine name, KISS2 text, declared state order,
-config dict, optional cache directory; shard cells add
-``shard_index``/``shard_count``/``parent_cell``).  :func:`run_cell` turns a payload
+config dict, optional cache directory).  :func:`run_cell` turns a payload
 back into real work — it is the single entry point every executor backend
 (in-process, process pool, work-queue worker daemon) funnels through, so
 all of them produce bit-identical results by construction.
@@ -13,7 +11,7 @@ all of them produce bit-identical results by construction.
 The returned *outcome* is itself JSON-safe::
 
     {
-        "kind": "flow" | "baseline" | "faultsim-shard",
+        "kind": "flow" | "baseline",
         "cell": "<cell id>",             # passthrough from the payload
         "result": {...},                 # FlowResult / BaselineResult dict
         "worker": "<worker id>",         # who ran it (executor-assigned)
@@ -44,7 +42,7 @@ from ..fsm.machine import FSM
 from . import chaos
 from .cache import ArtifactCache, artifact_key
 from .config import MINIMIZER_KEYS, FlowConfig
-from .pipeline import fsm_digest, run_faultsim_shard, run_flow, stage_keys
+from .pipeline import fsm_digest, run_flow, stage_keys
 
 __all__ = [
     "BaselineResult",
@@ -216,7 +214,7 @@ def run_cell(
     1-based attempt number — it keys chaos injection decisions, which is
     what makes injected transient faults transient.
 
-    A flow or shard cell prefetches every stage artifact it can read with
+    A flow cell prefetches every stage artifact it can read with
     one :meth:`~repro.flow.cache.ArtifactCache.warm` call, and whatever
     the cell wrote is pushed with one ``flush()`` before the outcome is
     built — also when the cell fails — so with a remote tier a cell costs
@@ -276,31 +274,23 @@ def _execute(
     cache: Optional[ArtifactCache],
     hook: Optional[Callable[[str], None]],
 ) -> Dict[str, Any]:
-    """The cell's work by kind; returns its serialized result."""
-    if task["kind"] == "flow":
+    """The cell's work by kind; returns its serialized result.
+
+    Any kind but ``flow`` and ``baseline`` is rejected, so a misspelled or
+    retired kind fails as a structured error instead of running as
+    something else.
+    """
+    kind = task["kind"]
+    if kind == "flow":
         return run_flow(fsm, config, cache=cache, stage_hook=hook).to_dict()
-    if task["kind"] == "faultsim-shard":
-        # One fault-range shard of a parent flow cell's faultsim stage.
-        # The detection data itself travels through the content-addressed
-        # cache (shared queue dir / coordinator tier), not the outcome —
-        # the parent cell's merge finds it by shard artifact key.
-        payload, cached = run_faultsim_shard(
-            fsm, config, cache=cache,
-            shard_index=int(task["shard_index"]), stage_hook=hook,
-        )
-        return {
-            "shard_index": int(task["shard_index"]),
-            "shard_count": int(task["shard_count"]),
-            "parent_cell": task.get("parent_cell"),
-            "cached": cached,
-            "metrics": payload["metrics"],
-        }
-    if hook is not None:
-        # Baselines are a single stage; one boundary check suffices.
-        hook("baseline")
-    return _random_baseline(
-        fsm, config, cache, trials=task["trials"], random_seed=task["random_seed"]
-    ).to_dict()
+    if kind == "baseline":
+        if hook is not None:
+            # Baselines are a single stage; one boundary check suffices.
+            hook("baseline")
+        return _random_baseline(
+            fsm, config, cache, trials=task["trials"], random_seed=task["random_seed"]
+        ).to_dict()
+    raise ValueError(f"unknown cell kind {kind!r} (expected 'flow' or 'baseline')")
 
 
 def run_cell_safe(

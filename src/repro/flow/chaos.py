@@ -296,17 +296,12 @@ def cell_label(task: Mapping[str, Any]) -> str:
 
     ``kind:name:structure:seed`` — stable across backends, runs and queue
     nonces, so a plan written once targets the same cells everywhere.
-    ``faultsim-shard`` sub-cells append ``:index/count`` so a plan can
-    crash one specific shard while its siblings run clean.
     """
     config = task.get("config") or {}
-    label = (
+    return (
         f"{task.get('kind', '?')}:{task.get('name', '?')}:"
         f"{config.get('structure', '?')}:{config.get('seed', '?')}"
     )
-    if task.get("kind") == "faultsim-shard":
-        label += f":{task.get('shard_index', '?')}/{task.get('shard_count', '?')}"
-    return label
 
 
 #: The deterministic garbage written over corrupted payloads: valid UTF-8,

@@ -11,10 +11,10 @@ content digest of the configuration.
 
 Per-stage digests (:meth:`FlowConfig.stage_digest`) only hash the fields
 that can change that stage's output — ``jobs`` is excluded everywhere
-because both the multi-start assignment and the fault-list sharding are
-deterministic-merge parallel (the result never depends on the worker
-count), fault-simulation knobs do not invalidate cached assignment or
-minimisation artifacts, and the knobs of the MISR state assignment
+because both the multi-start assignment and the fault simulator's
+process pool are deterministic-merge parallel (the result never depends
+on the worker count), fault-simulation knobs do not invalidate cached
+assignment or minimisation artifacts, and the knobs of the MISR state assignment
 (``seed``, ``beam_width``, ...) are hashed only for the PST and SIG
 structures that run it: the DFF and PAT assigners read nothing but
 ``width``, so their artifacts are shared across seeds.  The assign stage
@@ -99,7 +99,6 @@ _FAULTSIM_KEYS = _MINIMIZE_KEYS + (
     "fault_patterns",
     "fault_seed",
     "fault_collapse",
-    "faultsim_shards",
 )
 
 # Every key any structure can digest, per stage, so the digest-completeness
@@ -114,8 +113,8 @@ _STAGE_KEYS: Dict[str, Tuple[str, ...]] = {
 
 #: Fields deliberately absent from every stage digest.  Only fields proven
 #: result-neutral belong here: ``jobs`` never changes any output because
-#: both the multi-start assignment and the fault-list sharding merge
-#: deterministically (CI pins this with jobs-independence parity tests).
+#: both the multi-start assignment and the fault simulator's process pool
+#: merge deterministically (CI pins this with jobs-independence parity tests).
 #: The ``digest-completeness`` lint rule cross-checks this set against the
 #: dataclass fields and the ``_STAGE_KEYS`` tuples.
 _DIGEST_EXEMPT = frozenset({"jobs"})
@@ -130,9 +129,9 @@ class FlowConfig:
     ``fault_collapse`` configure the optional fault-simulation stage, and
     ``structure`` names the BIST target (``"DFF"``, ``"PAT"``, ``"SIG"`` or
     ``"PST"``).  ``fault_patterns=None`` skips the fault-simulation stage.
-    ``faultsim_shards`` splits the faultsim stage into that many
-    content-addressed shard sub-cells (the partition is shard-count-stable
-    and the merge bit-identical; sweeps schedule shards across workers).
+    ``jobs`` is the one parallelism knob of a run: the multi-start
+    assignment and the fault simulator split their work across that many
+    processes, with a result identical at every count.
     """
 
     structure: str = "PST"
@@ -155,7 +154,6 @@ class FlowConfig:
     fault_patterns: Optional[int] = None
     fault_seed: int = 0
     fault_collapse: bool = False
-    faultsim_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.structure not in _VALID_STRUCTURES:
@@ -183,8 +181,6 @@ class FlowConfig:
             raise ValueError("word_width must be >= 1")
         if self.fault_patterns is not None and self.fault_patterns < 0:
             raise ValueError("fault_patterns must be >= 0")
-        if self.faultsim_shards < 1:
-            raise ValueError("faultsim_shards must be >= 1")
 
     # ------------------------------------------------------------- transforms
     @property
@@ -314,11 +310,6 @@ def add_flow_arguments(
                         help="pattern lanes per simulated word")
     parser.add_argument("--engine", choices=list(_VALID_FAULT_ENGINES), default="compiled",
                         help="fault-simulation back end")
-    parser.add_argument("--faultsim-shards", type=int, default=1,
-                        help="split the faultsim stage into this many "
-                             "content-addressed shard sub-cells (sweeps "
-                             "schedule them across workers; merged result "
-                             "is bit-identical at every shard count)")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact-cache directory (content-addressed; reruns "
                              "skip unchanged stages)")

@@ -31,20 +31,10 @@ invariant as a structured issue (JSON schema ``repro.fsck/1``):
 ``stale-worker``
     A worker registration whose liveness heartbeat went stale (crashed
     worker that never unregistered).  Repair: delete the registration.
-``orphaned-shard``
-    A ``faultsim-shard`` sub-cell result whose shard group can never
-    complete: some sibling shards never finished and none are pending or
-    claimed — the orchestrator (and its run) are gone.  Repair: delete —
-    the shard's detection data is content-addressed in the artifact
-    cache, so the queue-side result file is never the only copy.
 
 A present ``stop`` sentinel and unsigned legacy payloads are reported as
 *notes*, not issues — both are valid states of a healthy queue — so a
 drained chaos run audits clean and CI can assert ``report.clean``.
-Healthy shard groups are notes too: a complete group (every sibling's
-result present, merged or about to be merged by the orchestrator) and an
-in-flight group (siblings still pending/claimed) are both valid states
-of a sharded sweep, so sharded queue directories audit clean.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from .backends.queue import (
     QueuePaths,
@@ -194,27 +184,6 @@ def fsck_queue(
     now = clock()
     unsigned = 0
 
-    # Faultsim shard sub-cells, grouped by (run nonce, parent cell id).
-    # The queue cid is "<run>-<cell id>", so siblings of one shard phase
-    # share the prefix; each group tracks which shard indices have a
-    # result and which still have pending/claimed work.
-    shard_groups: Dict[Tuple[str, str], Dict[str, Any]] = {}
-
-    def _collect_shard(
-        cid: str, shard: Mapping[str, Any], area: str, path: Path
-    ) -> None:
-        run = cid.split("-", 1)[0]
-        key = (run, str(shard.get("parent_cell")))
-        group = shard_groups.setdefault(
-            key, {"count": 0, "results": {}, "pending": {}}
-        )
-        group["count"] = max(int(group["count"]), int(shard.get("shard_count", 0)))
-        index = int(shard.get("shard_index", -1))
-        if area == "results":
-            group["results"][index] = path
-        else:
-            group["pending"][index] = path
-
     areas = {"tasks": paths.tasks, "claims": paths.claims,
              "results": paths.results, "failed": paths.failed}
     for area in sorted(areas):
@@ -251,15 +220,6 @@ def fsck_queue(
                 continue
             if "sha256" not in payload:
                 unsigned += 1
-            cid = str(payload.get("cell", entry.stem))
-            if area in ("tasks", "claims"):
-                task = payload.get("task") or {}
-                if task.get("kind") == "faultsim-shard":
-                    _collect_shard(cid, task, area, entry)
-            elif area == "results":
-                outcome = payload.get("outcome") or {}
-                if outcome.get("kind") == "faultsim-shard":
-                    _collect_shard(cid, outcome.get("result") or {}, area, entry)
 
     # Claim cross-checks: duplicates, finished leftovers, stale leases.
     if paths.claims.is_dir():
@@ -304,39 +264,6 @@ def fsck_queue(
                            f"(window {lease_timeout:.1f}s) with no result",
                     repair=repair_action,
                 ))
-
-    # Shard groups: complete and in-flight groups are healthy states of a
-    # sharded sweep (notes); a group that can never complete — missing
-    # sibling results with nothing pending or claimed — marks its result
-    # files as orphaned shard artifacts.
-    for (run, parent), group in sorted(shard_groups.items()):
-        count = int(group["count"])
-        done: Dict[int, Path] = group["results"]
-        pending: Dict[int, Path] = group["pending"]
-        if pending:
-            report.notes.append(
-                f"shard group {parent} (run {run}): {len(done)}/{count} shard "
-                f"result(s), {len(pending)} pending/claimed — still in flight"
-            )
-            continue
-        if count and len(done) >= count:
-            report.notes.append(
-                f"shard group {parent} (run {run}): all {count} shard result(s) "
-                f"present (merged by the orchestrator; files are reclaimable)"
-            )
-            continue
-        for index in sorted(done):
-            shard_path = done[index]
-            report.issues.append(FsckIssue(
-                kind="orphaned-shard",
-                path=str(shard_path),
-                detail=f"shard {index}/{count} of cell {parent} (run {run}): only "
-                       f"{len(done)}/{count} sibling result(s) exist and none are "
-                       f"pending — the run is gone; the detection data is "
-                       f"content-addressed in the artifact cache, so the file is "
-                       f"safe to reclaim",
-                repair=_unlink_repair(shard_path, repair, "deleted"),
-            ))
 
     # Worker registrations: tmp leftovers and stale liveness heartbeats.
     if paths.workers.is_dir():

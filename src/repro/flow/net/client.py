@@ -392,8 +392,6 @@ def run_http_worker(
                 continue
 
             stats.cells += 1
-            if task.get("kind") == "faultsim-shard":
-                stats.shard_cells += 1
             elapsed = time.perf_counter() - started
             stats.busy_seconds += elapsed
             emit(f"[{wid}] {cid} {task.get('kind')}:{task.get('name')} "

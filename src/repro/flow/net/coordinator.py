@@ -489,12 +489,9 @@ class Coordinator:
     def _handle_stats(self) -> Tuple[int, Dict[str, Any]]:
         now = self._clock()
         states = {"pending": 0, "claimed": 0, "backoff": 0, "done": 0, "failed": 0}
-        shard_states = {"pending": 0, "claimed": 0, "backoff": 0, "done": 0, "failed": 0}
         for run in self._runs.values():
             for cell in run.cells.values():
                 states[cell.status] += 1
-                if cell.task.get("kind") == "faultsim-shard":
-                    shard_states[cell.status] += 1
         cache_block: Optional[Dict[str, Any]] = None
         if self.cache is not None:
             stats = self.cache.stats
@@ -510,7 +507,6 @@ class Coordinator:
             "stopping": self._stopping,
             "runs": {"active": len(self._runs)},
             "cells": states,
-            "shard_cells": shard_states,
             "counters": dict(self._totals),
             "workers": {
                 wid: round(now - seen, 3)

@@ -43,11 +43,11 @@ from ..logic.cover import Cover
 from ..logic.espresso import MinimizationResult
 from ..logic.factor import multilevel_literal_count
 from ..logic.symbolic import SymbolicImplicant
-from .cache import ArtifactCache, artifact_key, shard_artifact_key
+from .cache import ArtifactCache, artifact_key
 from .config import FlowConfig
 from .results import FlowResult, StageResult, jsonable
 
-__all__ = ["run_flow", "run_faultsim_shard", "fsm_digest", "resolve_fsm", "stage_keys"]
+__all__ = ["run_flow", "fsm_digest", "resolve_fsm", "stage_keys"]
 
 FSMSource = Union[FSM, str, Path]
 
@@ -68,11 +68,9 @@ def stage_keys(fsm: FSM, cfg: FlowConfig) -> Dict[str, str]:
     """The artifact key of every cacheable stage of one flow run.
 
     ``assign``, ``excite`` and ``minimize`` always; ``faultsim`` when the
-    run simulates faults; and with ``faultsim_shards > 1`` one
-    ``faultsim:<index>/<count>`` key per fault-range shard.  The pipeline
-    reads and writes its artifacts under exactly these keys, and
-    :func:`~repro.flow.cells.run_cell` prefetches them from a remote tier
-    in one exchange.
+    run simulates faults.  The pipeline reads and writes its artifacts
+    under exactly these keys, and :func:`~repro.flow.cells.run_cell`
+    prefetches them from a remote tier in one exchange.
     """
     return _stage_keys(fsm_digest(fsm), cfg)
 
@@ -84,20 +82,8 @@ def _stage_keys(digest: str, cfg: FlowConfig) -> Dict[str, str]:
         for stage in ("assign", "excite", "minimize")
     }
     if cfg.fault_patterns is not None:
-        faultsim = cfg.stage_digest("faultsim")
-        keys["faultsim"] = artifact_key(digest, "faultsim", faultsim)
-        shards = cfg.faultsim_shards
-        if shards > 1:
-            for index in range(shards):
-                keys[_shard_stage(index, shards)] = shard_artifact_key(
-                    digest, "faultsim", faultsim, index, shards
-                )
+        keys["faultsim"] = artifact_key(digest, "faultsim", cfg.stage_digest("faultsim"))
     return keys
-
-
-def _shard_stage(index: int, count: int) -> str:
-    """The :func:`stage_keys` entry of one faultsim shard."""
-    return f"faultsim:{index}/{count}"
 
 
 def resolve_fsm(source: FSMSource, data_dir: Optional[Union[str, Path]] = None) -> FSM:
@@ -256,145 +242,6 @@ def _run_stage(
                                 metrics=payload.get("metrics", {}))
 
 
-# --------------------------------------------------------- faultsim sharding
-
-
-def _simulate_faultsim_shards(
-    controller: SynthesizedController,
-    cfg: FlowConfig,
-    fault_patterns: int,
-    shard_indices: Sequence[int],
-) -> Dict[int, Dict[str, Any]]:
-    """Simulate the requested fault-range shards of one built circuit.
-
-    The circuit is built and the fault list enumerated once; each requested
-    shard simulates only its :func:`~repro.circuit.engine.partition_faults`
-    slice over the full random-pattern sequence.  Returns one JSON-safe
-    shard payload per requested index.
-    """
-    from ..circuit.engine import partition_faults
-    from ..circuit.faults import FaultSimulator, enumerate_faults
-    from ..circuit.netlist import netlist_from_controller
-
-    circuit = netlist_from_controller(controller)
-    faults = enumerate_faults(circuit, collapse=cfg.fault_collapse)
-    chunks = partition_faults(faults, cfg.faultsim_shards)
-    simulator = FaultSimulator(
-        circuit, word_width=cfg.word_width, engine=cfg.engine, jobs=cfg.jobs
-    )
-    payloads: Dict[int, Dict[str, Any]] = {}
-    for index in shard_indices:
-        result = simulator.coverage_for_random_patterns(
-            fault_patterns, seed=cfg.fault_seed, faults=chunks[index]
-        )
-        payloads[index] = {
-            "metrics": {
-                "shard_index": index,
-                "shard_count": cfg.faultsim_shards,
-                "shard_faults": len(chunks[index]),
-                "detected": len(result.detected),
-                "total_faults": len(faults),
-            },
-            "data": {
-                "detection_cycle": dict(result.detection_cycle),
-                "shard_index": index,
-                "shard_count": cfg.faultsim_shards,
-                "shard_faults": len(chunks[index]),
-                "total_faults": len(faults),
-                "gates": circuit.gate_count(),
-            },
-        }
-    return payloads
-
-
-def _merge_faultsim_payload(
-    cfg: FlowConfig, fault_patterns: int, shard_payloads: Sequence[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Merge per-shard payloads into the exact unsharded faultsim payload.
-
-    The merged payload carries no trace of the shard structure: metrics and
-    coverage curve are bit-identical to a ``faultsim_shards=1`` run, which
-    is what the parity tests and the shard-parity CI job assert.
-    """
-    from ..circuit.engine import merge_shard_detections
-    from ..circuit.faults import random_pattern_lane_masks
-
-    n_cycles, lane_masks = random_pattern_lane_masks(fault_patterns, cfg.word_width)
-    total_faults = int(shard_payloads[0]["data"]["total_faults"])
-    merged = merge_shard_detections(
-        [payload["data"]["detection_cycle"] for payload in shard_payloads],
-        total_faults=total_faults,
-        n_cycles=n_cycles,
-        lane_masks=lane_masks,
-    )
-    summary = merged.to_dict()
-    curve = summary.pop("coverage_curve")
-    summary["gates"] = shard_payloads[0]["data"]["gates"]
-    summary["collapsed"] = cfg.fault_collapse
-    return {"metrics": summary, "data": {"coverage_curve": curve}}
-
-
-def run_faultsim_shard(
-    source: FSMSource,
-    config: FlowConfig,
-    cache: Optional[ArtifactCache] = None,
-    shard_index: int = 0,
-    data_dir: Optional[Union[str, Path]] = None,
-    stage_hook: Optional[Callable[[str], None]] = None,
-) -> Tuple[Dict[str, Any], bool]:
-    """Compute (or serve from cache) one faultsim shard artifact.
-
-    This is the work unit behind ``"faultsim-shard"`` sweep sub-cells: it
-    resolves the machine, runs the upstream synthesis stages through
-    :func:`run_flow` with fault simulation disabled (the upstream stage
-    digests exclude every fault knob, so those artifacts are shared with
-    the parent cell and with every sibling shard), then simulates only this
-    shard's :func:`~repro.circuit.engine.partition_faults` fault range.
-
-    The shard artifact is content-addressed by
-    ``(fsm digest, "faultsim:<index>/<count>", faultsim config digest)`` —
-    see :func:`~repro.flow.cache.shard_artifact_key` — so shards cache,
-    resume, and dedupe independently: a crashed shard retries without
-    recomputing its siblings.
-
-    Returns ``(payload, cached)`` where ``cached`` says the payload was
-    served from the cache without simulating.
-    """
-    cfg = config
-    if cfg.fault_patterns is None:
-        raise ValueError("faultsim shards require fault_patterns to be set")
-    if not 0 <= shard_index < cfg.faultsim_shards:
-        raise ValueError(
-            f"shard_index {shard_index} out of range for "
-            f"{cfg.faultsim_shards} shard(s)"
-        )
-    fsm = resolve_fsm(source, data_dir=data_dir)
-    key = stage_keys(fsm, cfg)[_shard_stage(shard_index, cfg.faultsim_shards)]
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            return payload, True
-    upstream = run_flow(
-        fsm,
-        cfg.replace(fault_patterns=None),
-        cache=cache,
-        data_dir=data_dir,
-        materialize=True,
-        stage_hook=stage_hook,
-    )
-    if stage_hook is not None:
-        stage_hook("faultsim")
-    controller = upstream.controller
-    if controller is None:  # pragma: no cover - materialize=True always attaches it
-        raise RuntimeError("materialized flow result lost its controller")
-    payload = _simulate_faultsim_shards(controller, cfg, cfg.fault_patterns, [shard_index])[
-        shard_index
-    ]
-    if cache is not None:
-        cache.put(key, payload)
-    return payload, False
-
-
 def run_flow(
     source: FSMSource,
     config: Optional[FlowConfig] = None,
@@ -548,49 +395,23 @@ def run_flow(
     if cfg.fault_patterns is not None:
         fault_patterns = cfg.fault_patterns
 
-        if cfg.faultsim_shards > 1 and fault_patterns > 0:
-            # Sharded: assemble the stage from per-shard artifacts.  Shards
-            # already computed by sweep sub-cells (this process or any
-            # worker sharing the cache) are reused; missing shards are
-            # simulated inline, so a partially sharded cache still merges.
-            # The merged payload is stored under the normal stage key.
-            def compute_faultsim() -> Dict[str, Any]:
-                shards = cfg.faultsim_shards
-                shard_payloads: List[Optional[Dict[str, Any]]] = [None] * shards
-                if cache is not None:
-                    for index in range(shards):
-                        shard_payloads[index] = cache.get(keys[_shard_stage(index, shards)])
-                missing = [i for i in range(shards) if shard_payloads[i] is None]
-                if missing:
-                    computed = _simulate_faultsim_shards(
-                        ctx.controller(), cfg, fault_patterns, missing
-                    )
-                    for index, payload in computed.items():
-                        if cache is not None:
-                            cache.put(keys[_shard_stage(index, shards)], payload)
-                        shard_payloads[index] = payload
-                complete = [p for p in shard_payloads if p is not None]
-                return _merge_faultsim_payload(cfg, fault_patterns, complete)
+        def compute_faultsim() -> Dict[str, Any]:
+            from ..circuit.faults import FaultSimulator, enumerate_faults
+            from ..circuit.netlist import netlist_from_controller
 
-        else:
-
-            def compute_faultsim() -> Dict[str, Any]:
-                from ..circuit.faults import FaultSimulator, enumerate_faults
-                from ..circuit.netlist import netlist_from_controller
-
-                circuit = netlist_from_controller(ctx.controller())
-                faults = enumerate_faults(circuit, collapse=cfg.fault_collapse)
-                simulator = FaultSimulator(
-                    circuit, word_width=cfg.word_width, engine=cfg.engine, jobs=cfg.jobs
-                )
-                result = simulator.coverage_for_random_patterns(
-                    fault_patterns, seed=cfg.fault_seed, faults=faults
-                )
-                summary = result.to_dict()
-                curve = summary.pop("coverage_curve")
-                summary["gates"] = circuit.gate_count()
-                summary["collapsed"] = cfg.fault_collapse
-                return {"metrics": summary, "data": {"coverage_curve": curve}}
+            circuit = netlist_from_controller(ctx.controller())
+            faults = enumerate_faults(circuit, collapse=cfg.fault_collapse)
+            simulator = FaultSimulator(
+                circuit, word_width=cfg.word_width, engine=cfg.engine, jobs=cfg.jobs
+            )
+            result = simulator.coverage_for_random_patterns(
+                fault_patterns, seed=cfg.fault_seed, faults=faults
+            )
+            summary = result.to_dict()
+            curve = summary.pop("coverage_curve")
+            summary["gates"] = circuit.gate_count()
+            summary["collapsed"] = cfg.fault_collapse
+            return {"metrics": summary, "data": {"coverage_curve": curve}}
 
         if stage_hook is not None:
             stage_hook("faultsim")

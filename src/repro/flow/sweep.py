@@ -20,19 +20,16 @@ Cells are shipped as ``(name, KISS2 text, state order, config dict)``
 payloads — JSON-safe, which is what lets the queue backend distribute
 them across processes and hosts.
 
-Each phase hands its cells to the executor *leader first*
+The sweep hands its cells to the executor *leader first*
 (:func:`leader_first`): the first cell of every assign family goes out
 before any of its siblings, so concurrent workers do not compute one
 shared assign artifact twice.  Outcomes merge by cell id, so the order
 changes no result.
 
-With ``faultsim_shards > 1`` (and a shared artifact cache) the sweep runs
-in two phases: every eligible flow cell's faultsim stage is first expanded
-into per-shard ``faultsim-shard`` sub-cells (:meth:`Sweep.shard_cells`) —
-content-addressed fault-range slices any backend schedules like ordinary
-cells — and the parent cells then merge the cached shard artifacts into a
-result bit-identical to an unsharded run.  The full failure model applies
-per shard; a failed shard fails only its parent cell.
+A sweep parallelises across cells only.  One large cell's fault list is
+split across processes by the fault simulator itself, with
+``FlowConfig(jobs=N)`` on the serial backend (out-of-process backends run
+every cell with ``jobs=1``).
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Uni
 from ..bist.structures import BISTStructure
 from ..fsm.kiss import write_kiss
 from ..fsm.machine import FSM
-from .backends import ExecutionReport, RetryPolicy, SweepExecutor, resolve_backend
+from .backends import RetryPolicy, SweepExecutor, resolve_backend
 from .cache import ArtifactCache, artifact_key
 from .cells import BaselineResult, cell_id, run_cell
 from .config import FlowConfig
@@ -323,125 +320,13 @@ class Sweep:
             task["cell"] = cell_id(index, task)
         return tasks
 
-    def shard_cells(self, tasks: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Per-shard faultsim sub-cells of the eligible flow cells.
-
-        Eligible cells are flow cells with fault simulation enabled and
-        ``faultsim_shards > 1``, in a sweep with a shared artifact cache —
-        shard artifacts travel through the cache (shared queue directory,
-        or the coordinator's remote tier), so without one the parent cell
-        simply computes its shards inline during the merge.  Cell ids
-        continue the parent numbering, so shard ids sort after every
-        parent cell and stay unique per sweep.
-        """
-        if self.cache is None:
-            return []
-        shard_tasks: List[Dict[str, Any]] = []
-        index = len(tasks)
-        for task in tasks:
-            if task["kind"] != "flow":
-                continue
-            config = task["config"]
-            shards = int(config.get("faultsim_shards", 1))
-            if not config.get("fault_patterns") or shards <= 1:
-                continue
-            for shard_index in range(shards):
-                shard_task = {key: value for key, value in task.items() if key != "cell"}
-                shard_task["kind"] = "faultsim-shard"
-                shard_task["shard_index"] = shard_index
-                shard_task["shard_count"] = shards
-                shard_task["parent_cell"] = task["cell"]
-                shard_task["cell"] = cell_id(index, shard_task)
-                shard_tasks.append(shard_task)
-                index += 1
-        return shard_tasks
-
     # ------------------------------------------------------------------ run
     def run(self) -> SweepResult:
         start = time.perf_counter()
         tasks = self.cells()
         fsms = {fsm.name: fsm for fsm in self.fsms}
         cache_totals: Dict[str, int] = {}
-
-        # Phase 1 — faultsim shard sub-cells.  Shards of every eligible
-        # cell are scheduled first (across the same executor/worker fleet),
-        # so phase 2's parent cells assemble their faultsim stage from the
-        # cached shard artifacts instead of simulating.  A shard that
-        # exhausts its retry budget fails only its parent cell: the parent
-        # is withheld from phase 2 and reported in ``failed_cells`` with
-        # the shard's error history (strict sweeps raise immediately).
-        shard_tasks = self.shard_cells(tasks)
-        shard_meta: List[Dict[str, Any]] = []
-        shard_failed: Dict[str, Dict[str, Any]] = {}
-        shard_report: Optional[ExecutionReport] = None
-        if shard_tasks:
-            shard_order = leader_first(shard_tasks, fsms)
-            shard_report = self.executor.execute(shard_order, fsms=fsms, cache=self.cache)
-            shard_outcomes = {
-                task["cell"]: outcome
-                for task, outcome in zip(shard_order, shard_report.outcomes)
-            }
-            for task in shard_tasks:
-                outcome = shard_outcomes[task["cell"]]
-                shard_index = int(task["shard_index"])
-                if outcome.get("error"):
-                    if self.strict:
-                        raise RuntimeError(
-                            f"sweep shard {task['cell']} (faultsim shard "
-                            f"{shard_index}/{task['shard_count']} of cell "
-                            f"{task['parent_cell']}, {task['name']}) failed on "
-                            f"worker {outcome.get('worker')} after "
-                            f"{int(outcome.get('attempts', 1))} attempt(s): "
-                            f"{_render_cell_error(outcome['error'])}"
-                        )
-                    history = outcome.get("error_attempts") or [
-                        dict(outcome["error"], attempt=1)
-                    ]
-                    record = shard_failed.get(task["parent_cell"])
-                    if record is None:
-                        record = {
-                            "cell": task["parent_cell"],
-                            "kind": "flow",
-                            "fsm": task["name"],
-                            "structure": task["config"]["structure"],
-                            "seed": task["config"]["seed"],
-                            "worker": outcome.get("worker"),
-                            "attempts": int(outcome.get("attempts", 1)),
-                            "errors": [],
-                            "quarantined": outcome.get("quarantined"),
-                            "failed_shards": [],
-                        }
-                        shard_failed[task["parent_cell"]] = record
-                    record["attempts"] = max(
-                        int(record["attempts"]), int(outcome.get("attempts", 1))
-                    )
-                    record["errors"].extend(dict(entry) for entry in history)
-                    record["failed_shards"].append(shard_index)
-                    if outcome.get("quarantined"):
-                        record["quarantined"] = outcome["quarantined"]
-                    continue
-                stats = outcome.get("cache_stats")
-                if stats:
-                    for key, value in stats.items():
-                        cache_totals[key] = cache_totals.get(key, 0) + int(value)
-                shard_result = outcome.get("result") or {}
-                shard_meta.append({
-                    "cell": task["cell"],
-                    "kind": "faultsim-shard",
-                    "fsm": task["name"],
-                    "structure": task["config"]["structure"],
-                    "seed": task["config"]["seed"],
-                    "worker": outcome.get("worker"),
-                    "shard_index": shard_index,
-                    "shard_count": int(task["shard_count"]),
-                    "parent_cell": task["parent_cell"],
-                    "cached": bool(shard_result.get("cached", False)),
-                })
-
-        # Phase 2 — the cells themselves (minus shard-failed parents).
-        pending = leader_first(
-            [task for task in tasks if task["cell"] not in shard_failed], fsms
-        )
+        pending = leader_first(tasks, fsms)
         report = self.executor.execute(pending, fsms=fsms, cache=self.cache)
         outcome_by_cell = {
             task["cell"]: outcome for task, outcome in zip(pending, report.outcomes)
@@ -452,10 +337,6 @@ class Sweep:
         cell_meta: List[Dict[str, Any]] = []
         failed_cells: List[Dict[str, Any]] = []
         for task in tasks:
-            shard_record = shard_failed.get(task["cell"])
-            if shard_record is not None:
-                failed_cells.append(shard_record)
-                continue
             outcome = outcome_by_cell[task["cell"]]
             if outcome.get("error"):
                 if self.strict:
@@ -504,13 +385,9 @@ class Sweep:
             "backend": report.backend,
             "workers": report.workers,
             "cells_requeued": report.cells_requeued,
-            "cells": cell_meta + shard_meta,
+            "cells": cell_meta,
         }
         executor_meta.update(report.extra)
-        if shard_report is not None:
-            _merge_shard_executor_meta(
-                executor_meta, shard_report, shard_tasks, len(shard_failed)
-            )
         return SweepResult(
             machines=self.machines,
             structures=self.structures,
@@ -532,10 +409,10 @@ def leader_first(
     """``tasks`` with the first cell of every assign family moved to the front.
 
     Cells whose assign stage has one artifact key form a family: the PST
-    and SIG cells of one seed, the DFF (or PAT) cells of every seed, a
-    flow cell's faultsim shards.  A worker that claims a sibling while
-    the family's first cell still runs elsewhere would compute the shared
-    artifact again; leaders first lets every sibling find it cached.
+    and SIG cells of one seed, the DFF (or PAT) cells of every seed.  A
+    worker that claims a sibling while the family's first cell still runs
+    elsewhere would compute the shared artifact again; leaders first lets
+    every sibling find it cached.
     Baseline cells have no assign stage and count as leaders, as does a
     cell whose configuration does not parse (it fails worker-side, where
     its error is recorded).  Leaders, then the rest, each keep their
@@ -559,9 +436,9 @@ def leader_first(
 def _assign_family(
     task: Mapping[str, Any], fsms: Mapping[str, FSM], digests: Dict[str, str]
 ) -> Optional[str]:
-    """The assign artifact key of a flow or shard cell; ``None`` for a
-    baseline cell or a configuration that does not parse.  ``digests``
-    memoises machine digests by name."""
+    """The assign artifact key of a flow cell; ``None`` for a baseline
+    cell or a configuration that does not parse.  ``digests`` memoises
+    machine digests by name."""
     if task["kind"] == "baseline":
         return None
     try:
@@ -586,59 +463,6 @@ def _render_cell_error(error: Any) -> str:
         trace = error.get("traceback")
         return f"{headline}\n{trace}" if trace else headline
     return str(error)
-
-
-def _merge_shard_executor_meta(
-    meta: Dict[str, Any],
-    shard_report: ExecutionReport,
-    shard_tasks: Sequence[Mapping[str, Any]],
-    failed_parents: int,
-) -> None:
-    """Fold the shard phase's executor metadata into the parent phase's.
-
-    Both phases run on the same executor, so counters add, worker sets
-    union, and per-cell attempt maps merge; identity-like keys
-    (``queue_dir``, ``coordinator_url``, ``retry_policy``) keep the parent
-    phase's value.  A ``shards`` block summarises the shard phase itself
-    for ``sweep_executor_rows``.
-    """
-    extra = shard_report.extra
-    meta["cells_requeued"] = (
-        int(meta.get("cells_requeued", 0)) + shard_report.cells_requeued
-    )
-    for key in ("retries", "corrupt_results", "cells_lost"):
-        if key in extra:
-            meta[key] = int(meta.get(key, 0)) + int(extra[key])
-    if "workers_seen" in extra:
-        seen = list(meta.get("workers_seen", []))
-        seen.extend(worker for worker in extra["workers_seen"] if worker not in seen)
-        meta["workers_seen"] = seen
-        meta["workers"] = max(int(meta.get("workers", 1)), len(seen))
-    else:
-        meta["workers"] = max(int(meta.get("workers", 1)), shard_report.workers)
-    if "quarantined" in extra:
-        quarantined = list(meta.get("quarantined", []))
-        quarantined.extend(cid for cid in extra["quarantined"] if cid not in quarantined)
-        meta["quarantined"] = quarantined
-    if "distinct_workers" in extra:
-        meta["distinct_workers"] = max(
-            int(meta.get("distinct_workers", 0)), int(extra["distinct_workers"])
-        )
-    if "cell_attempts" in extra:
-        attempts = dict(meta.get("cell_attempts", {}))
-        attempts.update(extra["cell_attempts"])
-        meta["cell_attempts"] = attempts
-    parents = len({str(task["parent_cell"]) for task in shard_tasks})
-    shards_block: Dict[str, Any] = {
-        "cells": len(shard_tasks),
-        "parents": parents,
-        "failed_parents": failed_parents,
-        "workers": shard_report.workers,
-        "cells_requeued": shard_report.cells_requeued,
-    }
-    if "run_id" in extra:
-        shards_block["run_id"] = extra["run_id"]
-    meta["shards"] = shards_block
 
 
 def _sweep_worker(task: Dict[str, Any]) -> Dict[str, Any]:

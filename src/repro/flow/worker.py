@@ -64,10 +64,6 @@ class WorkerStats:
     abandoned: int = 0
     #: Claims dropped because their task payload was corrupt.
     corrupt_tasks: int = 0
-    #: Executed cells that were ``faultsim-shard`` sub-cells (a subset of
-    #: ``cells``) — the fleet-level view of how much shard fan-out this
-    #: worker absorbed.
-    shard_cells: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -79,7 +75,6 @@ class WorkerStats:
             "heartbeats_lost": self.heartbeats_lost,
             "abandoned": self.abandoned,
             "corrupt_tasks": self.corrupt_tasks,
-            "shard_cells": self.shard_cells,
         }
 
     @classmethod
@@ -94,8 +89,6 @@ class WorkerStats:
             heartbeats_lost=int(data.get("heartbeats_lost", 0)),
             abandoned=int(data.get("abandoned", 0)),
             corrupt_tasks=int(data.get("corrupt_tasks", 0)),
-            # Pre-sharding worker payloads lack the shard counter.
-            shard_cells=int(data.get("shard_cells", 0)),
         )
 
 
@@ -324,8 +317,6 @@ def run_worker(
             except OSError:  # repro: allow-swallowed-exception -- requeued and re-claimed elsewhere; results are idempotent
                 pass
             stats.cells += 1
-            if task.get("kind") == "faultsim-shard":
-                stats.shard_cells += 1
             elapsed = time.perf_counter() - started
             stats.busy_seconds += elapsed
             emit(f"[{wid}] {cid} {task.get('kind')}:{task.get('name')} ({elapsed:.2f}s)")

@@ -275,13 +275,6 @@ def sweep_executor_rows(sweep: Mapping[str, Any]) -> List[List[object]]:
             rows.append([counter.replace("_", " "), executor[counter]])
     if executor.get("quarantined"):
         rows.append(["quarantined", ", ".join(executor["quarantined"])])
-    shards = executor.get("shards")
-    if shards:
-        rows.append(["faultsim shards", (
-            f"{shards.get('cells', 0)} shard cell(s) over "
-            f"{shards.get('parents', 0)} parent cell(s), "
-            f"{shards.get('failed_parents', 0)} failed"
-        )])
     per_worker: Dict[str, int] = {}
     for cell in executor.get("cells", []):
         worker = cell.get("worker")
@@ -298,23 +291,11 @@ def sweep_executor_rows(sweep: Mapping[str, Any]) -> List[List[object]]:
 
 
 def sweep_cell_rows(sweep: Mapping[str, Any]) -> List[Dict[str, object]]:
-    """One row per sweep cell: metrics plus execution provenance.
-
-    Sharded sweeps gain a ``shards`` column: how many faultsim shard
-    sub-cells fed the cell's merge and how many distinct workers ran them
-    (``3/2w`` = 3 shards over 2 workers).  The column is omitted entirely
-    for unsharded sweeps.
-    """
+    """One row per sweep cell: metrics plus execution provenance."""
     workers: Dict[tuple, object] = {}
-    flow_cell_ids: Dict[tuple, object] = {}
-    shard_cells: Dict[object, List[Mapping[str, Any]]] = {}
     for cell in sweep.get("executor", {}).get("cells", []):
-        if cell.get("kind") == "faultsim-shard":
-            shard_cells.setdefault(cell.get("parent_cell"), []).append(cell)
-            continue
         key = (cell.get("kind"), cell.get("fsm"), cell.get("structure"), cell.get("seed"))
         workers[key] = cell.get("worker")
-        flow_cell_ids[key] = cell.get("cell")
     rows: List[Dict[str, object]] = []
     for result in sweep["results"]:
         metrics = result["metrics"]
@@ -331,12 +312,6 @@ def sweep_cell_rows(sweep: Mapping[str, Any]) -> List[Dict[str, object]]:
             "cached": "yes" if work_stages and all(s["cached"] for s in work_stages) else "no",
             "worker": workers.get(key, "") or "",
         }
-        if shard_cells:
-            shards = shard_cells.get(flow_cell_ids.get(key), [])
-            shard_workers = {c.get("worker") for c in shards if c.get("worker")}
-            row["shards"] = (
-                f"{len(shards)}/{len(shard_workers)}w" if shards else ""
-            )
         rows.append(row)
     return rows
 

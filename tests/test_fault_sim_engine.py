@@ -11,6 +11,9 @@ remaining tests pin the bug fixes that landed with the engine:
 * equivalence collapsing in ``enumerate_faults`` behind ``collapse=True``,
 * branch faults on fanout stems feeding flip-flop data inputs,
 * the single-pass ``coverage_curve``.
+
+It also pins ``partition_faults``, which splits the fault list across the
+``jobs`` processes, and the lane masks of ``coverage_for_random_patterns``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from repro.circuit import (
     netlist_from_controller,
     random_input_words,
 )
+from repro.circuit.engine import partition_faults
+from repro.circuit.faults import random_pattern_lane_masks
 from repro.fsm import generate_controller
 from repro.fsm.mcnc import load_benchmark
 
@@ -347,3 +352,44 @@ class TestCompiledEngineDirect:
         result = engine.run([])
         assert result.cycles_simulated == 0
         assert result.detected == set()
+
+
+class TestPartitionFaults:
+    def _faults(self, small_controller):
+        controller = synthesize(small_controller, BISTStructure.PST)
+        return enumerate_faults(netlist_from_controller(controller))
+
+    def test_partition_is_balanced_and_order_stable(self, small_controller):
+        faults = self._faults(small_controller)
+        for count in (1, 2, 3, 7):
+            chunks = partition_faults(faults, count)
+            assert len(chunks) == count
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes) - min(sizes) <= 1
+            # Contiguous slices in enumeration order: the concatenation is
+            # the original list, so the assignment is shard-count-stable.
+            merged = [fault for chunk in chunks for fault in chunk]
+            assert merged == list(faults)
+
+    def test_more_shards_than_faults_yields_empty_tails(self):
+        chunks = partition_faults(["f0", "f1"], 5)
+        assert chunks == [["f0"], ["f1"], [], [], []]
+
+    def test_shard_count_validation(self):
+        with pytest.raises(ValueError, match="shard_count"):
+            partition_faults([], 0)
+
+
+class TestRandomPatternLaneMasks:
+    def test_partial_final_word(self):
+        n_cycles, masks = random_pattern_lane_masks(40, 16)
+        assert n_cycles == 3
+        assert masks == [0xFFFF, 0xFFFF, (1 << 8) - 1]
+
+    def test_exact_multiple(self):
+        n_cycles, masks = random_pattern_lane_masks(32, 16)
+        assert n_cycles == 2
+        assert masks == [0xFFFF, 0xFFFF]
+
+    def test_zero_patterns(self):
+        assert random_pattern_lane_masks(0, 16) == (0, [])

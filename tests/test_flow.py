@@ -111,11 +111,11 @@ class TestFlowConfig:
         assert base.stage_digest("assign") != reseeded.stage_digest("assign")
         assert base.stage_digest("minimize") != reseeded.stage_digest("minimize")
         # ... but the MISR-only knobs key the MISR structures alone: every
-        # DFF/PAT stage (shard keys derive from the faultsim digest) ignores
-        # them, and every PST/SIG stage changes with each of them.
+        # DFF/PAT stage ignores them, and every PST/SIG stage changes with
+        # each of them.
         assert set(MISR_ONLY_CHANGES) == set(_MISR_ASSIGN_KEYS)
         for structure in ("DFF", "PAT", "PST", "SIG"):
-            config = base.replace(structure=structure, fault_patterns=256, faultsim_shards=2)
+            config = base.replace(structure=structure, fault_patterns=256)
             shared = structure in ("DFF", "PAT")
             for field, value in MISR_ONLY_CHANGES.items():
                 perturbed = config.replace(**{field: value})
@@ -271,6 +271,37 @@ class TestRunFlow:
         assert fsm_digest(small_controller) != fsm_digest(reordered)
 
 
+class TestRunFlowJobsParity:
+    """``FlowConfig(jobs=N)`` is the one way a run splits its fault list:
+    the faultsim stage hands it to the engine's process pool, and the
+    result is the same at every ``N``, with or without a cache."""
+
+    KNOBS = dict(fault_patterns=48, word_width=16, fault_seed=7)
+
+    def test_jobs_reach_faultsim_and_keep_the_result(self, tmp_path, monkeypatch):
+        from repro.circuit import CompiledFaultEngine
+
+        pools = []
+        run_sharded = CompiledFaultEngine._run_sharded
+
+        def spy(self, *args):
+            pools.append(args[-1])  # the worker count is the last argument
+            return run_sharded(self, *args)
+
+        monkeypatch.setattr(CompiledFaultEngine, "_run_sharded", spy)
+        baseline = run_flow("ex4", FlowConfig(**self.KNOBS))
+        assert pools == []
+        for jobs in (1, 2):
+            cfg = FlowConfig(jobs=jobs, **self.KNOBS)
+            uncached = run_flow("ex4", cfg)
+            cached = run_flow("ex4", cfg, cache=ArtifactCache(tmp_path / f"c{jobs}"))
+            for result in (uncached, cached):
+                assert _behaviour(result) == _behaviour(baseline), jobs
+                assert result.config == dict(baseline.config, jobs=jobs)
+        # Both jobs=2 runs (the cached one on a cold cache) used the pool.
+        assert pools == [2, 2]
+
+
 # -------------------------------------------------------------------- cache
 
 
@@ -382,8 +413,7 @@ class TestArtifactCache:
             uncached = run_flow("dk512", config.replace(structure=structure))
             assert _behaviour(cached) == _behaviour(uncached), structure
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_stage_keys_name_every_artifact_the_flow_touches(self, tmp_path, shards):
+    def test_stage_keys_name_every_artifact_the_flow_touches(self, tmp_path):
         class Recording(ArtifactCache):
             def __init__(self, root):
                 super().__init__(root)
@@ -398,8 +428,7 @@ class TestArtifactCache:
                 super().put(key, payload)
 
         machine = load_benchmark("dk512")
-        for config in (FlowConfig(faultsim_shards=shards),
-                       FlowConfig(fault_patterns=256, faultsim_shards=shards)):
+        for config in (FlowConfig(), FlowConfig(fault_patterns=256)):
             cache = Recording(tmp_path / f"{config.digest()}")
             run_flow(machine, config, cache=cache)
             keys = set(stage_keys(machine, config).values())
@@ -485,24 +514,6 @@ class TestSweep:
             _behaviour(r) for r in uncached.results
         ]
         assert [r.config for r in cached.results] == [r.config for r in uncached.results]
-
-    def test_dff_pat_shard_artifacts_are_shared_across_seeds(self, tmp_path):
-        config = FlowConfig(fault_patterns=256, faultsim_shards=2)
-        grid = dict(structures=("DFF", "PAT", "PST"), seeds=(1, 2, 3), config=config)
-        cached = Sweep(self.NAMES, cache=ArtifactCache(tmp_path / "cache"), **grid).run()
-        # Per (machine, structure, seed) computed: assign, excite, minimize,
-        # two shards and the merged faultsim stage.
-        machines, seeds = len(self.NAMES), 3
-        assert cached.cache_stats["writes"] == machines * (2 + seeds) * 6
-        shards = [c for c in cached.executor["cells"] if c["kind"] == "faultsim-shard"]
-        assert len(shards) == machines * 3 * seeds * 2
-        for shard in shards:
-            shared = shard["structure"] != "PST" and shard["seed"] != 1
-            assert shard["cached"] == shared, shard
-        uncached = Sweep(self.NAMES, **grid).run()
-        assert [_behaviour(r) for r in cached.results] == [
-            _behaviour(r) for r in uncached.results
-        ]
 
     def test_random_baseline_is_shared_across_seeds(self, tmp_path):
         """The baseline reads the minimiser knobs, ``trials`` and

@@ -22,6 +22,7 @@ from repro.flow import (
     SweepResult,
     resolve_backend,
     run_cell,
+    run_cell_safe,
     run_worker,
 )
 from repro.flow.backends.queue import (
@@ -334,6 +335,19 @@ class TestStructuredWorkerErrors:
         assert "failed on worker" in message
         assert "ValueError" in message
         assert "Traceback" in message
+
+    @pytest.mark.parametrize("kind", ["faultsim-shard", "flwo"])
+    def test_unknown_cell_kind_is_a_structured_error(self, kind):
+        """Only ``flow`` and ``baseline`` cells run.  A retired kind (left in
+        an old queue directory) or a misspelled one fails as a ValueError
+        naming the kind, even with baseline fields present: it never falls
+        through to the random baseline."""
+        task = Sweep(["dk512"], structures=("PST",)).cells()[0]
+        outcome = run_cell_safe(dict(task, kind=kind, trials=2, random_seed=1))
+        assert outcome["result"] is None
+        assert outcome["kind"] == kind
+        assert outcome["error"]["type"] == "ValueError"
+        assert repr(kind) in outcome["error"]["message"]
 
     def test_legacy_string_error_still_renders(self):
         assert _render_cell_error("boom") == "boom"

@@ -749,13 +749,12 @@ class TestHttpSweepParity:
 def _cell_label(task: dict) -> tuple:
     if task["kind"] == "baseline":
         return ("baseline", task["name"])
-    label = (task["name"], task["config"]["structure"], task["config"]["seed"])
-    return label + ((task["shard_index"],) if "shard_index" in task else ())
+    return (task["name"], task["config"]["structure"], task["config"]["seed"])
 
 
 class TestLeaderFirstDispatch:
     def test_leaders_of_every_assign_family_go_first(self, tmp_path):
-        config = FlowConfig(fault_patterns=64, faultsim_shards=2)
+        config = FlowConfig(fault_patterns=64)
         sweep = Sweep(["dk512", "ex4"], structures=("DFF", "SIG", "PST"),
                       seeds=(1, 2), config=config, random_trials=2,
                       cache=tmp_path / "cache")
@@ -771,13 +770,6 @@ class TestLeaderFirstDispatch:
         ordered = leader_first(tasks, fsms)
         assert [_cell_label(task) for task in ordered] == leaders + rest
         assert sorted(task["cell"] for task in ordered) == [task["cell"] for task in tasks]
-
-        shards = leader_first(sweep.shard_cells(tasks), fsms)
-        assert [_cell_label(task) for task in shards[:6]] == [
-            (name, structure, seed, 0) for name in ("dk512", "ex4")
-            for structure, seed in (("DFF", 1), ("SIG", 1), ("SIG", 2))
-        ]
-        assert len(shards) == 24
 
     def test_unparseable_cell_keeps_its_place_among_the_leaders(self):
         sweep = Sweep(["dk512"], structures=("PST", "SIG"))
