@@ -19,7 +19,8 @@ rather than in-process threads.  It runs three checks:
    verified from the result's aggregated cache counters and the
    coordinator's ``/api/v1/stats`` document, whose request and
    connection totals must also show that the fleet reuses its
-   connections.
+   connections.  The fresh worker computed nothing, so its
+   ``--cache-dir`` must still be empty.
 3. **Poison degradation** — a deterministic stage error on one cell
    must quarantine it coordinator-side and degrade the sweep to a
    structured ``status: "partial"`` result with every healthy cell
@@ -259,6 +260,11 @@ def main() -> int:
     ok &= check(report, "remote-tier-served",
                 warm.cache_stats.get("remote_hits", 0) > 0,
                 f"remote_hits={warm.cache_stats.get('remote_hits')}")
+    # What a worker reads through the coordinator is held in memory; its
+    # --cache-dir receives only what it computes, and this one computed nothing.
+    kept = len(ArtifactCache(work / "fresh-cache"))
+    ok &= check(report, "fresh-worker-kept-no-copies", kept == 0,
+                f"{kept} artifact(s) in the fresh worker's --cache-dir")
     ok &= check(report, "stats-document",
                 stats.get("schema") == "repro.net/1"
                 and isinstance(stats.get("cache"), dict)

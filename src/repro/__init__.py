@@ -63,7 +63,7 @@ from .flow import (
 )
 from .fsm import FSM, Transition, load_benchmark, parse_kiss, parse_kiss_file
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "bist",

@@ -203,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "HTTP instead of a queue directory")
     worker.add_argument("--cache-dir", default=None,
                         help="override the artifact-cache directory of every cell "
-                             "(with --url: the worker-local read-through tier)")
+                             "(with --url: where this worker keeps the artifacts it "
+                             "computes; what it reads from the coordinator stays in "
+                             "memory)")
     worker.add_argument("--worker-id", default=None,
                         help="stable worker identity (default: host-pid-nonce)")
     worker.add_argument("--poll-interval", type=float, default=0.1,

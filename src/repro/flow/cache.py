@@ -132,30 +132,14 @@ class ArtifactCache:
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         """Store ``payload`` under ``key`` (atomic replace); counts a write."""
-        self._store_local(key, payload)
-        self.writes += 1
-
-    def warm(self, keys: Iterable[str]) -> int:
-        """Prefetch ``keys`` from a remote tier; the local store has none."""
-        return 0
-
-    def flush(self) -> int:
-        """Push queued writes to a remote tier; local writes are already durable."""
-        return 0
-
-    def _store_local(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Store ``payload`` under ``key`` without write accounting.
-
-        :class:`repro.flow.net.cache.RemoteCache` populates its local tier
-        through here: copying what a lookup just read is part of the read,
-        not a write.
-        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # One C-encoded string: json.dump would take the pure-Python
+                # iterencode path and write chunk by chunk.
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -182,6 +166,15 @@ class ArtifactCache:
             # value approximate; gc() re-measures authoritatively).
             if self._approx_bytes > self.max_bytes:
                 self.gc()
+        self.writes += 1
+
+    def warm(self, keys: Iterable[str]) -> int:
+        """Prefetch ``keys`` from a remote tier; the local store has none."""
+        return 0
+
+    def flush(self) -> int:
+        """Push queued writes to a remote tier; local writes are already durable."""
+        return 0
 
     # ------------------------------------------------------------ management
     def _artifact_paths(self) -> Iterator[Path]:

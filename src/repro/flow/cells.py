@@ -226,7 +226,8 @@ def run_cell(
     if cache is None and task.get("cache_dir"):
         if task.get("cache_url"):
             # Lazy import: net/ sits above cells in the layering, and the
-            # remote tier only exists on the coordinator path.
+            # remote tier only exists on the coordinator path.  One instance
+            # per cell: what it holds in memory is this cell's artifacts.
             from .net.cache import RemoteCache
 
             cache = RemoteCache(str(task["cache_url"]), task["cache_dir"])

@@ -9,8 +9,9 @@ distributed sweep span hosts without a shared filesystem:
 * :mod:`~repro.flow.net.client` — :class:`HttpExecutor`
   (``Sweep(backend="http", coordinator_url=...)``) and the
   ``repro worker --url`` fleet loop,
-* :mod:`~repro.flow.net.cache` — :class:`RemoteCache`, the read-through
-  local tier over the coordinator's batched cache exchange,
+* :mod:`~repro.flow.net.cache` — :class:`RemoteCache`, a read-through
+  client of the coordinator's batched cache exchange that keeps what it
+  reads in memory and only its own writes on disk,
 * :mod:`~repro.flow.net.protocol` — the signed-JSON wire protocol
   (schema ``repro.net/1``) and its chaos seams.
 """

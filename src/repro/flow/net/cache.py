@@ -1,22 +1,27 @@
 """Remote artifact-cache tier shared by a whole fleet (read-through).
 
 :class:`RemoteCache` is an :class:`~repro.flow.cache.ArtifactCache` whose
-local directory fronts the coordinator's content-addressed cache tier.
-Every remote operation is one batched ``POST /api/v1/cache`` exchange
+local directory holds only what this process computed; everything else is
+read through the coordinator's content-addressed cache tier.  Every
+remote operation is one batched ``POST /api/v1/cache`` exchange
 (``{"get": [keys], "put": {key: payload}}`` answered by ``{"found":
 {...}}``):
 
 * :meth:`~RemoteCache.warm` asks for a batch of keys in one exchange and
-  stores what the coordinator found in the local tier (read-through
-  populate, counted as part of the read rather than as a write); the keys
-  it reported absent are remembered and never asked for again;
-* a local miss on any other key falls through to a one-key exchange;
+  holds what the coordinator found in memory, beside any of the keys
+  already on local disk; the keys it reported absent are remembered and
+  never asked for again;
+* :meth:`~RemoteCache.get` serves a held artifact as a fresh copy, reads
+  the local directory next, and falls through to a one-key exchange;
 * :meth:`~RemoteCache.put` stores locally and queues the push, and
   :meth:`~RemoteCache.flush` pushes the queue in one exchange, so other
   workers and clients see the artifacts once it returns.
 
-A fleet cell (:func:`~repro.flow.cells.run_cell`) therefore costs one
-exchange before its flow and one after it.
+A fleet cell (:func:`~repro.flow.cells.run_cell`) builds one instance, so
+what is held in memory is one cell's stage artifacts, and the cell costs
+one exchange before its flow and one after it.  Nothing read from the
+coordinator is written to disk: a fresh worker's directory stays empty
+until it computes a stage itself.
 
 The failure posture is strictly *degrade to local*: the remote tier can
 only ever add hits.  A corrupt download (failed sha256 envelope, torn
@@ -28,6 +33,7 @@ network — cache failures must never fail a cell.
 
 from __future__ import annotations
 
+import pickle
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Union
 
@@ -38,12 +44,13 @@ __all__ = ["RemoteCache"]
 
 
 class RemoteCache(ArtifactCache):
-    """A coordinator-backed cache tier over a local read-through directory.
+    """A coordinator-backed cache tier over a local directory of own writes.
 
     Args:
         url: coordinator base URL (``http://host:port``).
-        root: local read-through directory (hits served from here never
-            touch the network).
+        root: local directory of the artifacts this process writes (hits
+            served from here never touch the network); artifacts read
+            from the coordinator are held in memory, never stored here.
         max_bytes: LRU bound of the *local* tier (the coordinator bounds
             its own store).
         timeout: per-request socket timeout in seconds.
@@ -71,21 +78,31 @@ class RemoteCache(ArtifactCache):
         self.remote_corrupt = 0
         #: Remote exchanges abandoned on transport/server failures.
         self.remote_errors = 0
-        # Keys the coordinator reported absent, and writes not yet pushed.
+        # Artifacts read once (from the coordinator, or from disk by warm),
+        # pickled so that every get unpickles its own copy; keys the
+        # coordinator reported absent; and writes not yet pushed.
+        self._held: Dict[str, bytes] = {}
         self._absent: Set[str] = set()
         self._unpushed: Dict[str, Dict[str, Any]] = {}
 
     # ----------------------------------------------------------------- tiers
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Local tier first, then the coordinator; ``None`` only when both miss."""
-        payload = self._load_local(key)
-        if payload is None and key not in self._absent:
-            payload = self._fetch([key]).get(key)
-        if payload is None:
-            self.misses += 1
-            return None
+        """Held artifacts, the local directory, then the coordinator.
+
+        ``None`` only when every tier misses.  A held artifact is served
+        as a fresh copy, so a caller that mutates its payload never changes
+        what the next ``get`` of the key returns.
+        """
+        if key not in self._held:
+            payload = self._load_local(key)
+            if payload is not None:
+                self.hits += 1
+                return payload
+            if key in self._absent or not self._fetch([key]):
+                self.misses += 1
+                return None
         self.hits += 1
-        return payload
+        return pickle.loads(self._held[key])
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         """Store locally and queue the push for the next :meth:`flush`."""
@@ -93,16 +110,22 @@ class RemoteCache(ArtifactCache):
         self._unpushed[key] = dict(payload)
 
     def warm(self, keys: Iterable[str]) -> int:
-        """Pull a batch of keys into the local tier in one exchange.
+        """Hold a batch of keys in memory, asking for the rest in one exchange.
 
-        Returns the number of artifacts fetched.  Keys already held
-        locally or reported absent before are not asked for.
+        Keys on local disk are read here once and held; keys already held
+        or reported absent before are not asked for.  Returns the number
+        of artifacts fetched from the coordinator.
         """
-        wanted = [
-            key for key in dict.fromkeys(keys)
-            if key not in self._absent and self._load_local(key) is None
-        ]
-        return len(self._fetch(wanted)) if wanted else 0
+        wanted: List[str] = []
+        for key in dict.fromkeys(keys):
+            if key in self._held or key in self._absent:
+                continue
+            payload = self._load_local(key)
+            if payload is None:
+                wanted.append(key)
+            else:
+                self._held[key] = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        return self._fetch(wanted) if wanted else 0
 
     def flush(self) -> int:
         """Push every queued write in one exchange; returns the number pushed.
@@ -131,12 +154,11 @@ class RemoteCache(ArtifactCache):
             timeout=self.timeout, tries=self.tries,
         )
 
-    def _fetch(self, keys: List[str]) -> Dict[str, Dict[str, Any]]:
-        """Ask the coordinator for ``keys``; store and return what it found.
+    def _fetch(self, keys: List[str]) -> int:
+        """Ask the coordinator for ``keys``; returns how many it found.
 
-        Found artifacts are copied into the local tier (a read-through
-        populate: part of the read, so no write is counted); keys the
-        coordinator reported absent are remembered.
+        Found artifacts are held in memory; keys the coordinator reported
+        absent are remembered.
         """
         try:
             found = self._exchange({"get": keys}).get("found")
@@ -146,13 +168,13 @@ class RemoteCache(ArtifactCache):
             found = None
         except CoordinatorError:
             self.remote_errors += 1
-            return {}
+            return 0
         if not isinstance(found, dict):
             # Corrupt download = miss: recomputing the stage is always
             # correct, trusting a torn artifact never is.
             self.remote_corrupt += 1
-            return {}
-        fetched: Dict[str, Dict[str, Any]] = {}
+            return 0
+        fetched = 0
         for key in keys:
             payload = found.get(key)
             if payload is None:
@@ -160,8 +182,8 @@ class RemoteCache(ArtifactCache):
                 self._absent.add(key)
             elif isinstance(payload, dict):
                 self.remote_hits += 1
-                self._store_local(key, payload)
-                fetched[key] = payload
+                self._held[key] = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+                fetched += 1
             else:
                 self.remote_corrupt += 1
         return fetched

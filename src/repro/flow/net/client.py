@@ -242,8 +242,10 @@ def run_http_worker(
 
     Args:
         url: coordinator base URL (``http://host:port``).
-        cache_dir: worker-local read-through directory for the shared
-            remote cache tier (default: each task's own ``cache_dir``).
+        cache_dir: worker-local directory of the artifacts this worker
+            computes, in front of the shared remote cache tier; artifacts
+            read from the coordinator are held in memory per cell and
+            never written here (default: each task's own ``cache_dir``).
         worker_id: stable identity for logs/metadata (default: generated
             from hostname, pid and a nonce).
         poll_interval: idle polling period in seconds.

@@ -650,8 +650,8 @@ class TestHttpSweepParity:
         """Workers' --cache-dir writes through even when the client has none.
 
         The second pass runs on fresh workers with empty local tiers, so
-        every hit must come from the coordinator; its read-through
-        populates are reads, not writes.
+        every hit must come from the coordinator; what they read is held
+        in memory, neither written nor counted as a write.
         """
         coord_dir = tmp_path / "coord-cache"
         passes = []
@@ -684,6 +684,7 @@ class TestHttpSweepParity:
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["hits"] > 0
         assert warm.cache_stats["writes"] == 0
+        assert all(len(ArtifactCache(tmp_path / f"warm{i}")) == 0 for i in range(2))
 
     def test_poison_cell_degrades_to_partial_with_quarantine(self, tmp_path):
         set_active_plan(FaultPlan(seed=1, rules=(
@@ -885,28 +886,33 @@ class TestWorkerLifecycle:
 class TestRemoteCache:
     KEY = "ab" + "1" * 62
 
-    def test_read_through_populates_the_local_tier(self, tmp_path):
+    def test_read_through_serves_remote_hits_from_memory(self, tmp_path):
         with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
             url = handle.url
+            totals = handle.coordinator._totals
             writer = RemoteCache(url, tmp_path / "writer")
             writer.put(self.KEY, {"stage": "minimize", "v": 1})
             assert writer.flush() == 1
             reader = RemoteCache(url, tmp_path / "reader")
             assert reader.get(self.KEY) == {"stage": "minimize", "v": 1}
             assert reader.remote_hits == 1 and reader.hits == 1
-            # Second lookup is a purely local hit.
+            # Second lookup is served from memory: no request, no file.
+            requests = totals["requests"]
             assert reader.get(self.KEY) == {"stage": "minimize", "v": 1}
             assert reader.remote_hits == 1 and reader.hits == 2
+            assert totals["requests"] == requests
+            assert len(reader) == 0
             # A key nobody wrote misses both tiers.
             assert reader.get("cd" + "2" * 62) is None
             assert reader.remote_misses == 1 and reader.misses == 1
             stats = reader.stats
             assert stats["remote_hits"] == 1 and stats["remote_misses"] == 1
 
-    def test_read_through_populates_count_no_writes(self, tmp_path):
+    def test_read_through_counts_no_writes_and_creates_no_files(self, tmp_path):
         keys = [f"{i:02d}" + "5" * 62 for i in range(3)]
         with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
             url = handle.url
+            totals = handle.coordinator._totals
             writer = RemoteCache(url, tmp_path / "writer")
             for key in keys:
                 writer.put(key, {"k": key})
@@ -917,20 +923,61 @@ class TestRemoteCache:
             assert reader.warm(keys) == 2
             assert reader.writes == 0
             assert reader.stats["writes"] == 0
-            # The populated copies are real: served locally from now on.
-            assert all(reader._load_local(key) is not None for key in keys)
+            # Everything read is served with no further request, and the
+            # reader's directory holds nothing it did not compute.
+            requests = totals["requests"]
+            assert [reader.get(key) for key in keys] == [{"k": key} for key in keys]
+            assert totals["requests"] == requests
+            assert len(reader) == 0 and not (tmp_path / "reader").exists()
 
     def test_warm_prefetches_a_batch(self, tmp_path):
         keys = [f"{i:02d}" + "3" * 62 for i in range(3)]
         with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
             url = handle.url
+            totals = handle.coordinator._totals
             writer = RemoteCache(url, tmp_path / "writer")
             for key in keys[:2]:
                 writer.put(key, {"k": key})
             writer.flush()
             reader = RemoteCache(url, tmp_path / "reader")
             assert reader.warm(keys) == 2
-            assert reader._load_local(keys[0]) is not None
+            requests = totals["requests"]
+            assert reader.get(keys[0]) == {"k": keys[0]}
+            assert reader.get(keys[2]) is None  # reported absent: not asked again
+            assert totals["requests"] == requests
+            assert reader.writes == 0 and len(reader) == 0
+
+    def test_warm_holds_artifacts_already_on_disk(self, tmp_path):
+        keys = [f"{i:02d}" + "4" * 62 for i in range(2)]
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            totals = handle.coordinator._totals
+            cache = RemoteCache(handle.url, tmp_path / "local")
+            for key in keys:
+                cache.put(key, {"k": key})
+            requests = totals["requests"]
+            # Both keys are on disk: warm reads them once and asks for none.
+            assert cache.warm(keys) == 0
+            assert totals["requests"] == requests
+            for key in keys:
+                cache.path_for(key).unlink()
+            assert [cache.get(key) for key in keys] == [{"k": key} for key in keys]
+            assert cache.hits == 2 and totals["requests"] == requests
+
+    def test_held_payloads_are_not_shared_between_callers(self, tmp_path):
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            writer = RemoteCache(handle.url, tmp_path / "writer")
+            writer.put(self.KEY, {"stage": "minimize", "cover": [[1, 2]]})
+            writer.flush()
+            reader = RemoteCache(handle.url, tmp_path / "reader")
+            first = reader.get(self.KEY)
+            first["stage"] = "mutated"
+            first["cover"][0].append(3)
+            assert reader.get(self.KEY) == {"stage": "minimize", "cover": [[1, 2]]}
+            assert reader.warm([self.KEY]) == 0
+            second = reader.get(self.KEY)
+            second["cover"].clear()
+            assert reader.get(self.KEY) == {"stage": "minimize", "cover": [[1, 2]]}
+            assert reader.remote_hits == 1 and reader.hits == 4
 
     def test_corrupt_download_is_a_counted_miss(self, tmp_path):
         set_active_plan(FaultPlan(seed=3, rules=(
@@ -1055,6 +1102,8 @@ class TestRemoteCache:
             assert warm["cache_stats"]["remote_hits"] == 4
             assert warm["cache_stats"]["misses"] == 0
             assert warm["cache_stats"]["writes"] == 0
+            # A warm cell computes nothing, so it leaves no file behind.
+            assert len(ArtifactCache(tmp_path / "w1")) == 0
 
     def test_worker_resolves_cache_url_through_remote_tier(self, tmp_path):
         """run_cell builds a RemoteCache when the task ships a cache_url."""
