@@ -4,14 +4,16 @@
 This script is the blocking ``fuzz`` CI job.  It runs two phases:
 
 1. **Clean sweep** — a bounded seeded ``run_fuzz`` (default 15 cases,
-   seed 0) over generated corpus machines; every cross-engine invariant
+   seed 0) over generated corpus machines; every invariant
    (compiled==legacy detections, incremental==reference scores, KISS2
-   round-trip digests, warm==cold cache) must hold on every case,
-   including the >=200-state tier.
+   round-trip digests, warm==cold cache, ON ⊆ cover ⊆ ON ∪ DC) must
+   hold on every case, including the >=200-state tier.
 2. **Mutation smoke** — the same harness with ``--mutate
-   engine-legacy-drop`` (a deliberately broken legacy fault simulator)
-   and with ``--mutate engine-cone-drop`` (a compiled fault simulator
-   whose fanout cones lose their last gate) must *fail*, emit a minimized
+   engine-legacy-drop`` (a deliberately broken legacy fault simulator),
+   with ``--mutate engine-cone-drop`` (a compiled fault simulator whose
+   fanout cones lose their last gate) and with ``--mutate
+   minimize-bitset-drop`` (a minimiser whose minterm-bitset containment
+   check lets one extra minterm through) must *fail*, emit a minimized
    repro case, and that case must replay deterministically: failing with
    the mutation active, passing without.
    A harness that cannot catch a broken engine is worse than no harness,
@@ -41,7 +43,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.corpus import replay_case, run_fuzz  # noqa: E402  (path bootstrap)
 
-SMOKE_MUTATIONS = ("engine-legacy-drop", "engine-cone-drop")
+SMOKE_MUTATIONS = ("engine-legacy-drop", "engine-cone-drop", "minimize-bitset-drop")
 
 
 def check(report: Dict[str, Any], name: str, ok: bool, detail: str) -> bool:

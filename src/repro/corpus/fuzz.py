@@ -18,7 +18,10 @@ that applies at the case's size:
 * ``score-parity`` — incremental and reference assignment scorers produce
   the same encoding and the same cost,
 * ``cache-parity`` — a warm-cache rerun reproduces the cold run's metrics
-  with every work stage served from the cache.
+  with every work stage served from the cache,
+* ``cover-contract`` — the minimised cover meets its specification
+  exactly, per output: ON ⊆ cover ⊆ ON ∪ DC, checked by the tautology
+  recursion without a node budget (small and medium cases).
 
 Failures are **minimized** (greedy shrink over the machine's state count,
 re-running only the failing invariants) and emitted inside a
@@ -35,8 +38,9 @@ from __future__ import annotations
 import random
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.engine import CompiledFaultEngine
 from ..circuit.faults import (
@@ -53,6 +57,8 @@ from ..flow.pipeline import fsm_digest, resolve_fsm, run_flow
 from ..flow.results import FlowResult
 from ..fsm.kiss import parse_kiss, write_kiss
 from ..fsm.machine import FSM
+from ..logic import espresso
+from ..logic.cover import raised_mask
 from .generators import generate_corpus_fsm, resolve_parameters
 from .registry import canonical_spec, parse_corpus_spec
 
@@ -89,6 +95,9 @@ MUTATIONS: Dict[str, str] = {
                   "(seed-stability must catch it)",
     "cache-metric-bump": "warm-cache rerun reports product_terms+1 "
                          "(cache-parity must catch it)",
+    "minimize-bitset-drop": "EXPAND's raise check on minterm bitsets lets "
+                            "one extra minterm through "
+                            "(cover-contract must catch it)",
 }
 
 
@@ -141,6 +150,23 @@ class FuzzCase:
 
 def _flow(fsm: FSM, cfg: FlowConfig, **changes: Any) -> FlowResult:
     return run_flow(fsm, cfg.replace(**changes) if changes else cfg)
+
+
+#: The materialized flow of the case being checked, ``(fsm, config,
+#: result)``: engine-parity and cover-contract read the same controller, so
+#: it is built once per case.  :func:`check_case` clears it after the case.
+_case_flow: List[Tuple[FSM, FlowConfig, FlowResult]] = []
+
+
+def _materialized(fsm: FSM, cfg: FlowConfig) -> FlowResult:
+    """The case's flow without fault simulation, with its controller."""
+    cfg = cfg.replace(fault_patterns=None)
+    for seen_fsm, seen_cfg, result in _case_flow:
+        if seen_fsm is fsm and seen_cfg == cfg:
+            return result
+    result = run_flow(fsm, cfg, materialize=True)
+    _case_flow[:] = [(fsm, cfg, result)]
+    return result
 
 
 def _stage_metrics(result: FlowResult, stage: str) -> Dict[str, Any]:
@@ -249,8 +275,7 @@ def _map_difference(compiled: Mapping[str, int], legacy: Mapping[str, int]) -> s
 def _check_engine_parity(
     fsm: FSM, cfg: FlowConfig, case: FuzzCase, mutation: Optional[str]
 ) -> Optional[str]:
-    result = run_flow(fsm, cfg.replace(fault_patterns=None), materialize=True)
-    controller = result.controller
+    controller = _materialized(fsm, cfg).controller
     if controller is None:  # pragma: no cover - materialize=True always attaches it
         raise RuntimeError("materialized flow result lost its controller")
     circuit = netlist_from_controller(controller)
@@ -334,6 +359,48 @@ def _check_cache_parity(
     return None
 
 
+def _leaky_raise(mask: int, inputs: int, var: int) -> int:
+    """The ``minimize-bitset-drop`` mutation of :func:`raised_mask`: the
+    raised bitset drops the lowest minterm the raise adds, so EXPAND's
+    containment check lets that one minterm through unchecked."""
+    raised = raised_mask(mask, inputs, var)
+    added = raised & ~mask
+    return raised ^ (added & -added)
+
+
+@contextmanager
+def _leaky_bitsets() -> Iterator[None]:
+    """EXPAND raises with :func:`_leaky_raise` while the block runs."""
+    espresso.raised_mask = _leaky_raise
+    try:
+        yield
+    finally:
+        espresso.raised_mask = raised_mask
+
+
+def _check_cover_contract(
+    fsm: FSM, cfg: FlowConfig, case: FuzzCase, mutation: Optional[str]
+) -> Optional[str]:
+    if mutation == "minimize-bitset-drop":
+        with _leaky_bitsets():
+            result = run_flow(fsm, cfg.replace(fault_patterns=None), materialize=True)
+    else:
+        result = _materialized(fsm, cfg)
+    controller = result.controller
+    if controller is None:  # pragma: no cover - materialize=True always attaches it
+        raise RuntimeError("materialized flow result lost its controller")
+    on_set = controller.excitation.on_set
+    dc_set = controller.excitation.dc_set
+    cover = controller.minimization.cover
+    # ``functionally_contains`` checks cube by cube and output by output,
+    # with no tautology budget: nothing is left unchecked.
+    if not cover.functionally_contains(on_set):
+        return "minimised cover misses part of the ON-set"
+    if not on_set.merged_with(dc_set).functionally_contains(cover):
+        return "minimised cover reaches outside ON ∪ DC"
+    return None
+
+
 #: Invariant name -> checker.  A checker returns ``None`` on success or a
 #: human-readable failure detail; exceptions are recorded as failures too.
 INVARIANTS: Dict[
@@ -344,6 +411,7 @@ INVARIANTS: Dict[
     "engine-parity": _check_engine_parity,
     "score-parity": _check_score_parity,
     "cache-parity": _check_cache_parity,
+    "cover-contract": _check_cover_contract,
 }
 
 
@@ -429,13 +497,13 @@ def make_cases(count: int, seed: int = 0) -> List[FuzzCase]:
         invariants = ["kiss-roundtrip", "seed-stability"]
         word_widths: Tuple[int, ...] = (8, 64)
         if tier == "small":
-            invariants += ["engine-parity", "cache-parity"]
+            invariants += ["engine-parity", "cache-parity", "cover-contract"]
             if structure in ("PST", "SIG"):
                 invariants.append("score-parity")
             if case_id % 3 == 0:
                 word_widths = (8, 64, 256)
         elif tier == "medium":
-            invariants += ["engine-parity", "cache-parity"]
+            invariants += ["engine-parity", "cache-parity", "cover-contract"]
             word_widths = (32,)
             if structure in ("PST", "SIG") and states <= 48:
                 invariants.append("score-parity")
@@ -487,6 +555,7 @@ def check_case(case: FuzzCase, mutation: Optional[str] = None) -> Dict[str, Any]
                 detail = f"raised {type(exc).__name__}: {exc}"
             if detail is not None:
                 failures.append({"invariant": name, "detail": detail})
+        _case_flow.clear()
     return {
         "case": case.to_dict(),
         "status": "fail" if failures else "pass",

@@ -32,7 +32,7 @@ import json
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..bist.structures import BISTStructure
 from ..bist.synthesis import synthesize
@@ -42,7 +42,7 @@ from ..fsm.machine import FSM
 from . import chaos
 from .cache import ArtifactCache, artifact_key
 from .config import MINIMIZER_KEYS, FlowConfig
-from .pipeline import fsm_digest, run_flow, stage_keys
+from .pipeline import fsm_digest, run_flow
 
 __all__ = [
     "BaselineResult",
@@ -215,7 +215,8 @@ def run_cell(
     what makes injected transient faults transient.
 
     A flow cell prefetches every stage artifact it can read with
-    one :meth:`~repro.flow.cache.ArtifactCache.warm` call, and whatever
+    one :meth:`~repro.flow.cache.ArtifactCache.warm` call (``run_flow``
+    makes it with the stage keys it derives anyway), and whatever
     the cell wrote is pushed with one ``flush()`` before the outcome is
     built — also when the cell fails — so with a remote tier a cell costs
     one cache exchange each way and its artifacts reach the coordinator
@@ -237,8 +238,6 @@ def run_cell(
     config = FlowConfig.from_dict(task["config"])
     hook = _stage_hook_for(task, attempt)
     try:
-        if cache is not None and task["kind"] != "baseline":
-            cache.warm(_stage_keys_of(fsm, config))
         result = _execute(task, fsm, config, cache, hook)
     finally:
         if cache is not None:
@@ -257,15 +256,6 @@ def run_cell(
     else:
         outcome["cache_stats"] = None
     return outcome
-
-
-def _stage_keys_of(fsm: FSM, config: FlowConfig) -> Iterator[str]:
-    """The cell's stage keys, derived only when a cache iterates them.
-
-    A local :class:`~repro.flow.cache.ArtifactCache` has nothing to
-    prefetch and never iterates, so an in-process cell pays no digests.
-    """
-    yield from stage_keys(fsm, config).values()
 
 
 def _execute(

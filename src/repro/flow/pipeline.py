@@ -69,8 +69,8 @@ def stage_keys(fsm: FSM, cfg: FlowConfig) -> Dict[str, str]:
 
     ``assign``, ``excite`` and ``minimize`` always; ``faultsim`` when the
     run simulates faults.  The pipeline reads and writes its artifacts
-    under exactly these keys, and :func:`~repro.flow.cells.run_cell`
-    prefetches them from a remote tier in one exchange.
+    under exactly these keys, and :func:`run_flow` prefetches them with
+    one :meth:`~repro.flow.cache.ArtifactCache.warm` call.
     """
     return _stage_keys(fsm_digest(fsm), cfg)
 
@@ -258,7 +258,10 @@ def run_flow(
         config: the flow configuration (defaults to :class:`FlowConfig`).
         cache: optional content-addressed artifact cache; stages whose
             ``(fsm, stage, config)`` digest is already stored are served
-            from disk instead of recomputed.
+            from disk instead of recomputed.  The run first prefetches its
+            stage keys with one ``cache.warm`` call; for a remote tier that
+            is one exchange with the coordinator, and its time counts in
+            ``total_seconds``.
         data_dir: directory with original MCNC ``.kiss2`` files (benchmark
             names only).
         implicants: precomputed symbolic minimisation for the PST/SIG
@@ -300,7 +303,12 @@ def run_flow(
         },
     ))
 
-    keys = _stage_keys(digest, cfg) if cache is not None else {}
+    keys: Dict[str, str] = {}
+    if cache is not None:
+        keys = _stage_keys(digest, cfg)
+        # A remote tier fetches every stage artifact it lacks in one
+        # exchange; the local store has nothing to prefetch.
+        cache.warm(keys.values())
     ctx = _Materializer(fsm, cfg)
 
     # assign — structure-specific state assignment.

@@ -14,7 +14,7 @@ coefficient of ``x**i``.  For example ``0b111`` is ``x**2 + x + 1``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "degree",
@@ -139,8 +139,13 @@ def is_primitive(poly: int) -> bool:
     return True
 
 
-def primitive_polynomials(deg: int, limit: int = 0) -> List[int]:
-    """All (or the first ``limit``) primitive polynomials of degree ``deg``."""
+@lru_cache(maxsize=None)
+def primitive_polynomials(deg: int, limit: int = 0) -> Tuple[int, ...]:
+    """All (or the first ``limit``) primitive polynomials of degree ``deg``.
+
+    Memoised: every MISR state assignment enumerates the primitives of
+    its register width again.  A tuple keeps the shared value immutable.
+    """
     if deg < 1:
         raise ValueError("degree must be >= 1")
     found: List[int] = []
@@ -149,7 +154,7 @@ def primitive_polynomials(deg: int, limit: int = 0) -> List[int]:
             found.append(candidate)
             if limit and len(found) >= limit:
                 break
-    return found
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)

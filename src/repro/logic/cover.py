@@ -26,16 +26,45 @@ order, and usually only those.  The few extra ones (cubes missing the
 target only through an empty field) fail the check's own intersect test,
 so the cofactored cover that reaches the recursion is exactly the one the
 full list gives, and so are the answer and the node budget spent.
+
+Small input spaces have a second, exact representation: a set of
+minterms as one integer bitset, minterm ``m`` (bit ``v`` of ``m`` is the
+value of variable ``v``) at bit ``m``.  :func:`literal_masks` holds, per
+positional-cube bit ``2 * var + value``, the minterms in which ``var``
+equals ``value``; :func:`minterm_mask` ANDs a cube's literals out of them
+(``0`` for a cube with an empty field), :func:`raised_mask` grows it by
+one variable with a shift-or, and :func:`output_masks` ORs a cover's cubes
+per output.  Containment of a non-empty cube is then one AND against the
+complement of the union.  A bitset has ``2 ** n`` bits, so the minimiser
+uses it up to :data:`BITSET_MAX_INPUTS` inputs (see
+:mod:`repro.logic.espresso`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .cube import Cube, CubeError, FULL_FIELD, ONE_FIELD, ZERO_FIELD, input_masks
 
-__all__ = ["Cover", "CubeIndex", "TautologyBudget", "BudgetExceeded", "covers_inputs"]
+__all__ = [
+    "BITSET_MAX_INPUTS",
+    "Cover",
+    "CubeIndex",
+    "TautologyBudget",
+    "BudgetExceeded",
+    "covers_inputs",
+    "literal_masks",
+    "minterm_mask",
+    "output_masks",
+    "raised_mask",
+]
+
+#: Widest input space whose containment checks the minimiser decides on
+#: minterm bitsets: 8,192-bit integers, and at most 2**14 - 1 = 16,383
+#: tautology nodes per check, within the default budget of 20,000.
+BITSET_MAX_INPUTS = 13
 
 
 class BudgetExceeded(RuntimeError):
@@ -99,6 +128,17 @@ class CubeIndex:
         target only through an empty field, its own or the target's, may be
         returned too: callers keep their own intersect test.
         """
+        mask = self.meeting_bits(target, alive)
+        cubes = self.cubes
+        found: List[int] = []
+        while mask:
+            bit = mask & -mask
+            found.append(cubes[bit.bit_length() - 1])
+            mask ^= bit
+        return found
+
+    def meeting_bits(self, target: int, alive: Optional[int] = None) -> int:
+        """:meth:`meeting` as a bitmap: bit ``i`` stands for ``cubes[i]``."""
         mask = self.all if alive is None else alive
         # The one set bit of each of the target's ``01``/``10`` fields.
         spec = (target ^ target >> 1) & self._low
@@ -108,13 +148,56 @@ class CubeIndex:
             bit = literals & -literals
             mask &= admits[bit.bit_length() - 1]
             literals ^= bit
-        cubes = self.cubes
-        found: List[int] = []
-        while mask:
-            bit = mask & -mask
-            found.append(cubes[bit.bit_length() - 1])
-            mask ^= bit
-        return found
+        return mask
+
+
+@lru_cache(maxsize=None)
+def literal_masks(num_inputs: int) -> Tuple[int, ...]:
+    """Per positional-cube bit ``2 * var + value``, the minterms with
+    ``var == value``, as a bitset over the ``2 ** num_inputs`` minterms."""
+    universe = (1 << (1 << num_inputs)) - 1
+    masks: List[int] = []
+    for var in range(num_inputs):
+        half = 1 << var
+        # ``half`` zeros then ``half`` ones, repeated over the universe.
+        ones = universe // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        masks += [universe ^ ones, ones]
+    return tuple(masks)
+
+
+def minterm_mask(inputs: int, num_inputs: int) -> int:
+    """The minterms of input part ``inputs`` as a bitset; ``0`` when a field
+    is empty."""
+    masks = literal_masks(num_inputs)
+    mask = (1 << (1 << num_inputs)) - 1
+    # A value a field lacks removes its minterms: keep the other value's.
+    missing = ~inputs & input_masks(num_inputs)[0]
+    while missing:
+        bit = missing & -missing
+        mask &= masks[(bit.bit_length() - 1) ^ 1]
+        missing ^= bit
+    return mask
+
+
+def raised_mask(mask: int, inputs: int, var: int) -> int:
+    """``mask``, the minterms of input part ``inputs``, after raising the
+    specified variable ``var`` to a don't care: it gains the minterms with
+    the other value, one shift by the variable's weight away."""
+    shift = 1 << var
+    return mask | (mask << shift if inputs >> 2 * var & 1 else mask >> shift)
+
+
+def output_masks(cubes: Iterable[Cube], num_inputs: int, num_outputs: int) -> List[int]:
+    """Per output, the bitset of the minterms the cubes feeding it cover."""
+    masks = [0] * num_outputs
+    for cube in cubes:
+        mask = minterm_mask(cube.inputs, num_inputs)
+        outputs = cube.outputs
+        while outputs:
+            bit = outputs & -outputs
+            masks[bit.bit_length() - 1] |= mask
+            outputs ^= bit
+    return masks
 
 
 class Cover:

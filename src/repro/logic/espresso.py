@@ -12,19 +12,42 @@ multi-output minimiser built from the classic espresso phases
   together with the don't-care set,
 * iterated until the cover stops shrinking.
 
-The minimiser never requires the OFF-set: validity of an expansion is decided
-with the recursive tautology check of :mod:`repro.logic.cover`, so it also
-works for functions with many inputs where complementation is infeasible.
-A node budget bounds the effort per check; exhausting the budget only makes
-the result less optimised, never functionally wrong.
+The minimiser never requires the OFF-set.  A containment check ("does the
+ON ∪ DC set, or the rest of the cover, contain this cube?") is decided one
+of two ways, chosen per phase, and both give the same answer:
+
+* **minterm bitsets** (:func:`~repro.logic.cover.minterm_mask`) when the
+  cover has at most :data:`~repro.logic.cover.BITSET_MAX_INPUTS` inputs,
+  its cubes are non-empty, and the node budget is unlimited or at least
+  ``2 ** (num_inputs + 1) - 1``;
+* otherwise the recursive tautology check of :mod:`repro.logic.cover`, which
+  also works for functions with many inputs where complementation is
+  infeasible.  A node budget bounds the effort per check; exhausting the
+  budget only makes the result less optimised, never functionally wrong.
+
+The bitsets are exact, and so is the recursion under that budget: each
+node splits one of the target's free variables, so a check over ``n``
+inputs visits at most ``2 ** (n + 1) - 1`` nodes and never runs out.
+With the default budget of 20,000 that holds up to 13 inputs
+(16,383 nodes).  The cube order and every decision are therefore the
+same on both paths, and so are the covers.
+
+EXPAND on bitsets builds, per output, the minterms outside ON ∪ DC once per
+phase.  Raising a variable grows the candidate's bitset with one shift-or,
+and a raise (or an added output) is valid when the bitset misses the
+outside minterms of every output it drives.  IRREDUNDANT computes each
+cube's bitset once.  A cube is redundant for an output when its bitset lies
+inside that output's don't-care bitset together with the bitsets of the
+other cubes still kept that meet it.
 
 Each phase indexes its reference cubes once per output
-(:class:`~repro.logic.cover.CubeIndex`): EXPAND over the ON ∪ DC cubes,
-IRREDUNDANT over the cubes feeding the output followed by its don't-care
-cubes, with an ``alive`` mask for the cubes removed so far and the
-candidate itself.  A check hands the tautology test only the indexed cubes
-that meet its target, which is the list it would have filtered down to, in
-the same order, so covers and budget spend are those of the full lists.
+(:class:`~repro.logic.cover.CubeIndex`): the recursive EXPAND over the
+ON ∪ DC cubes, IRREDUNDANT over the cubes feeding the output (followed,
+for the recursion, by its don't-care cubes), with an ``alive`` mask for the
+cubes removed so far and the candidate itself.  A recursive check hands the
+tautology test only the indexed cubes that meet its target, which is the
+list it would have filtered down to, in the same order, so covers and
+budget spend are those of the full lists.
 """
 
 from __future__ import annotations
@@ -32,8 +55,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .cube import Cube
-from .cover import Cover, CubeIndex, TautologyBudget, covers_inputs
+from .cube import FULL_FIELD, Cube
+from .cover import (
+    BITSET_MAX_INPUTS,
+    Cover,
+    CubeIndex,
+    TautologyBudget,
+    covers_inputs,
+    minterm_mask,
+    output_masks,
+    raised_mask,
+)
 
 __all__ = ["MinimizationResult", "minimize", "quick_minimize", "verify_minimization"]
 
@@ -71,7 +103,10 @@ def minimize(
         dc_set: optional cover of the don't-care set.
         max_iterations: maximum number of EXPAND/IRREDUNDANT rounds.
         tautology_budget: node budget per containment check (``None`` for
-            unlimited effort).
+            unlimited effort).  Up to 13 inputs the default budget cannot
+            run out, and the checks are decided on minterm bitsets instead
+            of the tautology recursion, with the same answers (see the
+            module docstring).
         method: ``"espresso"`` for the full heuristic loop, ``"quick"`` for
             the cheap merge-based reduction of :func:`quick_minimize`.
     """
@@ -145,8 +180,65 @@ def _budget(budget_limit: Optional[int]) -> Optional[TautologyBudget]:
     return TautologyBudget(budget_limit) if budget_limit is not None else None
 
 
+def _small_first(cube: Cube) -> Tuple[int, int]:
+    """Phase order: fewest minterms first, most literals first among equals."""
+    return cube.minterm_count(), -cube.literal_count()
+
+
+def _bitsets_decide(cover: Cover, budget_limit: Optional[int]) -> bool:
+    """Whether minterm bitsets decide the phase's containment checks.
+
+    They do when the recursion could not run out of budget (at most
+    ``2 ** (num_inputs + 1) - 1`` nodes) and no cube is empty: the
+    recursion answers "contained" for an empty target only when a single
+    cube holds it field by field, which a minterm set cannot tell.
+    """
+    n = cover.num_inputs
+    return (
+        n <= BITSET_MAX_INPUTS
+        and (budget_limit is None or budget_limit >= (1 << (n + 1)) - 1)
+        and all(cube.is_input_valid() for cube in cover)
+    )
+
+
 def _expand(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
     """EXPAND phase: enlarge each cube as far as the ON ∪ DC set allows."""
+    if _bitsets_decide(cover, budget_limit):
+        return _expand_bitsets(cover, dc)
+    return _expand_recursive(cover, dc, budget_limit)
+
+
+def _expand_bitsets(cover: Cover, dc: Cover) -> Cover:
+    """EXPAND with each output's minterms outside ON ∪ DC as one bitset."""
+    num_inputs, num_outputs = cover.num_inputs, cover.num_outputs
+    universe = (1 << (1 << num_inputs)) - 1
+    outside = [
+        universe ^ inside
+        for inside in output_masks(cover.merged_with(dc), num_inputs, num_outputs)
+    ]
+    expanded: List[Cube] = []
+    # Expanding small cubes first gives them the chance to swallow large ones.
+    for cube in sorted(cover.cubes, key=_small_first):
+        inputs, outputs = cube.inputs, cube.outputs
+        mask = minterm_mask(inputs, num_inputs)
+        blocked = 0
+        for output in range(num_outputs):
+            if outputs >> output & 1:
+                blocked |= outside[output]
+        for var in cube.specified_vars():
+            raised = raised_mask(mask, inputs, var)
+            if not raised & blocked:
+                mask = raised
+                inputs |= FULL_FIELD << 2 * var
+        for output in range(num_outputs):
+            if not outputs >> output & 1 and not mask & outside[output]:
+                outputs |= 1 << output
+        expanded.append(Cube(num_inputs, inputs, outputs))
+    return Cover(num_inputs, num_outputs, expanded)
+
+
+def _expand_recursive(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
+    """EXPAND with every check decided by the tautology recursion."""
     num_inputs = cover.num_inputs
     # The ON ∪ DC reference does not change during the phase, so each
     # output's cube index is built once.
@@ -155,9 +247,7 @@ def _expand(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
         for inputs in _inputs_by_output(cover.merged_with(dc).cubes, cover.num_outputs)
     ]
     expanded: List[Cube] = []
-    # Expanding small cubes first gives them the chance to swallow large ones.
-    order = sorted(cover.cubes, key=lambda c: (c.minterm_count(), -c.literal_count()))
-    for cube in order:
+    for cube in sorted(cover.cubes, key=_small_first):
         grown = cube
         # Try to raise every specified input literal to a don't care: valid
         # when every driven output still covers the enlarged cube.
@@ -189,29 +279,76 @@ def _irredundant(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
     """IRREDUNDANT phase: greedily drop cubes covered by the rest of the cover.
 
     A candidate is checked, output by output, against the cubes still kept
-    (in cover order) followed by the don't-care cubes of that output.  Each
-    output indexes its feeding cubes and its don't-care cubes once; an
-    ``alive`` mask per output drops the removed cubes, and the candidate's
-    own bit is cleared for its check.
+    (in cover order) together with the don't-care cubes of that output.
+    Cubes with many literals (low coverage) are tried first.
+    """
+    if _bitsets_decide(cover, budget_limit):
+        return _irredundant_bitsets(cover, dc)
+    return _irredundant_recursive(cover, dc, budget_limit)
+
+
+def _output_members(
+    cubes: Sequence[Cube], num_outputs: int
+) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
+    """Per output, the indices of the cubes feeding it; per cube, its
+    ``(output, bit in that output's list)`` pairs."""
+    feeding: List[List[int]] = []
+    members: List[List[Tuple[int, int]]] = [[] for _ in cubes]
+    for output in range(num_outputs):
+        feeding.append([i for i, c in enumerate(cubes) if c.outputs >> output & 1])
+        for slot, i in enumerate(feeding[-1]):
+            members[i].append((output, 1 << slot))
+    return feeding, members
+
+
+def _irredundant_bitsets(cover: Cover, dc: Cover) -> Cover:
+    """IRREDUNDANT with each cube's minterms, and each output's don't-care
+    minterms, as one bitset."""
+    cubes = list(cover.cubes)
+    num_inputs = cover.num_inputs
+    masks = [minterm_mask(c.inputs, num_inputs) for c in cubes]
+    dc_masks = output_masks(dc, num_inputs, cover.num_outputs)
+    feeding, members = _output_members(cubes, cover.num_outputs)
+    indexes = [CubeIndex([cubes[i].inputs for i in f], num_inputs) for f in feeding]
+    alive = [index.all for index in indexes]
+    removed = [False] * len(cubes)
+    for idx in sorted(range(len(cubes)), key=lambda i: _small_first(cubes[i])):
+        target = cubes[idx].inputs
+        for output, bit in members[idx]:
+            rest = masks[idx] & ~dc_masks[output]
+            others = indexes[output].meeting_bits(target, alive[output] & ~bit)
+            slots = feeding[output]
+            while rest and others:
+                low = others & -others
+                rest &= ~masks[slots[low.bit_length() - 1]]
+                others ^= low
+            if rest:
+                break
+        else:
+            removed[idx] = True
+            for output, bit in members[idx]:
+                alive[output] &= ~bit
+    return Cover(num_inputs, cover.num_outputs, [c for i, c in enumerate(cubes) if not removed[i]])
+
+
+def _irredundant_recursive(cover: Cover, dc: Cover, budget_limit: Optional[int]) -> Cover:
+    """IRREDUNDANT with every check decided by the tautology recursion.
+
+    Each output indexes its feeding cubes followed by its don't-care cubes
+    once; an ``alive`` mask per output drops the removed cubes, and the
+    candidate's own bit is cleared for its check.
     """
     cubes = list(cover.cubes)
     num_inputs = cover.num_inputs
     dc_inputs = _inputs_by_output(dc.cubes, cover.num_outputs)
-    indexes: List[CubeIndex] = []
-    # Per cube, its (output, bit in that output's index) pairs.
-    members: List[List[Tuple[int, int]]] = [[] for _ in cubes]
-    for output in range(cover.num_outputs):
-        feeding = [i for i, c in enumerate(cubes) if c.outputs >> output & 1]
-        for slot, i in enumerate(feeding):
-            members[i].append((output, 1 << slot))
-        indexes.append(
-            CubeIndex([cubes[i].inputs for i in feeding] + dc_inputs[output], num_inputs)
-        )
+    feeding, members = _output_members(cubes, cover.num_outputs)
+    indexes = [
+        CubeIndex([cubes[i].inputs for i in f] + dc_inputs[output], num_inputs)
+        for output, f in enumerate(feeding)
+    ]
     alive = [index.all for index in indexes]
-    # Try to drop cubes with many literals (low coverage) first.
-    order = sorted(range(len(cubes)), key=lambda i: (cubes[i].minterm_count(), -cubes[i].literal_count()))
     removed = [False] * len(cubes)
-    for idx in order:
+    for idx in sorted(range(len(cubes)), key=lambda i: _small_first(cubes[i])):
         target = cubes[idx].inputs
         if all(
             covers_inputs(

@@ -262,6 +262,33 @@ class TestFuzzHarness:
         clean = replay_case({**minimized, "mutation": None})
         assert clean["status"] == "pass"
 
+    def test_engine_parity_and_cover_contract_share_one_flow(self) -> None:
+        from unittest import mock
+
+        from repro.corpus import fuzz, make_cases
+
+        case = make_cases(1, seed=0)[0]
+        assert {"engine-parity", "cover-contract"} <= set(case.invariants)
+        with mock.patch.object(fuzz, "run_flow", wraps=fuzz.run_flow) as flow:
+            outcome = fuzz.check_case(case)
+        assert outcome["status"] == "pass"
+        # engine-parity and cover-contract read one materialized flow;
+        # cache-parity runs its own cold and warm flows.
+        materialized = [c for c in flow.call_args_list if c.kwargs.get("materialize")]
+        assert len(materialized) == 1
+        assert fuzz._case_flow == []
+
+    def test_bitset_drop_is_caught_and_the_kernel_restored(self) -> None:
+        from repro.corpus import fuzz, make_cases
+        from repro.logic import cover, espresso
+
+        case = make_cases(1, seed=0)[0]
+        case = FuzzCase(case.case_id, case.spec, case.config, ("cover-contract",))
+        outcome = fuzz.check_case(case, mutation="minimize-bitset-drop")
+        assert [f["invariant"] for f in outcome["failures"]] == ["cover-contract"]
+        assert espresso.raised_mask is cover.raised_mask
+        assert fuzz.check_case(case)["status"] == "pass"
+
     def test_unknown_mutation_rejected(self) -> None:
         with pytest.raises(ValueError):
             run_fuzz(cases=1, seed=0, mutate="not-a-mutation")

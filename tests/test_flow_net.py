@@ -1105,6 +1105,28 @@ class TestRemoteCache:
             # A warm cell computes nothing, so it leaves no file behind.
             assert len(ArtifactCache(tmp_path / "w1")) == 0
 
+    def test_run_cell_derives_each_stage_key_once(self, tmp_path, monkeypatch):
+        from repro.flow.cells import run_cell
+
+        task = next(cell for cell in Sweep(
+            ["dk512"], structures=("PST",), config=FlowConfig(fault_patterns=256),
+            cache=ArtifactCache(tmp_path / "unused"),
+        ).cells() if cell["kind"] == "flow")
+        stages = []
+        digest = FlowConfig.stage_digest
+
+        def spy(config, stage):
+            stages.append(stage)
+            return digest(config, stage)
+
+        monkeypatch.setattr(FlowConfig, "stage_digest", spy)
+        with CoordinatorHandle(port=0, cache_dir=tmp_path / "coord") as handle:
+            outcome = run_cell(dict(task, cache_dir=str(tmp_path / "w0"),
+                                    cache_url=handle.url), worker="w0")
+        # The prefetch and the stages share one key per stage.
+        assert outcome["cache_stats"]["remote_misses"] == 4
+        assert sorted(stages) == ["assign", "excite", "faultsim", "minimize"]
+
     def test_worker_resolves_cache_url_through_remote_tier(self, tmp_path):
         """run_cell builds a RemoteCache when the task ships a cache_url."""
         from repro.flow.cells import run_cell

@@ -531,11 +531,17 @@ class TestIndexedEspresso:
            st.one_of(st.integers(1, 5), st.just(20_000), st.none()))
     def test_matches_full_list_phases(self, problem, limit):
         on_set, dc = problem
-        spent: List[TautologyBudget] = []
-        with mock.patch.object(espresso, "_budget", recording_budgets(spent)):
-            result = minimize(on_set, dc, tautology_budget=limit)
         ref_spent: List[TautologyBudget] = []
         want, iterations = ref_minimize(on_set, dc, limit, recording_budgets(ref_spent))
+        # The default route (minterm bitsets wherever they decide).
+        result = minimize(on_set, dc, tautology_budget=limit)
+        assert result.cover.to_dict() == want.to_dict()
+        assert result.iterations == iterations
+        # The indexed recursive phases, forced at every limit.
+        spent: List[TautologyBudget] = []
+        with mock.patch.object(espresso, "_budget", recording_budgets(spent)), \
+                mock.patch.object(espresso, "_bitsets_decide", return_value=False):
+            result = minimize(on_set, dc, tautology_budget=limit)
         assert result.cover.to_dict() == want.to_dict()
         assert result.iterations == iterations
         assert [b.used for b in spent] == [b.used for b in ref_spent]

@@ -123,6 +123,14 @@ class TestRegisterProperties:
         for poly in primitive_polynomials(degree, limit=3):
             assert is_primitive(poly)
 
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=4))
+    def test_primitive_polynomials_are_shared_and_immutable(self, degree, limit):
+        first = primitive_polynomials(degree, limit)
+        assert isinstance(first, tuple)
+        assert primitive_polynomials(degree, limit) is first
+        assert list(first) == [p for p in range((1 << degree) | 1, 1 << (degree + 1), 2)
+                               if is_primitive(p)][:limit or None]
+
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=1000))
     def test_lfsr_cycle_never_reaches_zero(self, width, start_offset):
         lfsr = LFSR.with_primitive_polynomial(width)
