@@ -8,10 +8,10 @@ good values (parallel-pattern single-fault propagation); faults for which
 the good-state argument fails — flip-flop-branch faults, an ``observe``
 list without a data signal, a partial lane mask before the last word —
 run sequentially with their own state.  Detected faults are dropped,
-pattern words are hundreds of lanes wide, and the fault list can be
-sharded across processes.  This harness measures the wall-clock speedup
-over the seed's interpreted serial-fault loop (``engine="legacy"``,
-64-lane words) on the largest MCNC-style generated FSM and asserts
+pattern words are hundreds of lanes wide, and a run is one process.
+This harness measures the wall-clock speedup over the seed's interpreted
+serial-fault loop (``engine="legacy"``, 64-lane words) on the largest
+MCNC-style generated FSM and asserts
 
 * bit-exact agreement of the detected-fault sets at equal word width, and
 * a >= 5x speedup at word width >= 256 (the acceptance bar of the engine

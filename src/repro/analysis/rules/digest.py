@@ -5,14 +5,10 @@ hand-maintained key tuples (``_STAGE_KEYS`` in
 :mod:`repro.flow.config`).  A new configuration knob that is added to the
 dataclass but to no stage tuple silently poisons the cache: two runs with
 different values of the knob share one content address and the second is
-served the first's artifact.  This rule cross-checks the three sets at
+served the first's artifact.  This rule cross-checks the two sets at
 lint time:
 
-* every ``FlowConfig`` field is either in some stage's key tuple or in
-  the named exemption set ``_DIGEST_EXEMPT`` (fields that are proven
-  result-neutral, like the worker count ``jobs``),
-* every exemption names a real field that is indeed absent from every
-  digest (a stale exemption is as confusing as a missing key),
+* every ``FlowConfig`` field is in some stage's key tuple,
 * every key in every stage tuple names a real field (catches typos and
   renames that would quietly hash nothing).
 
@@ -32,7 +28,6 @@ __all__ = ["DigestCompletenessRule"]
 
 _CONFIG_CLASS = "FlowConfig"
 _KEYS_NAME = "_STAGE_KEYS"
-_EXEMPT_NAME = "_DIGEST_EXEMPT"
 
 
 def _string_items(node: ast.expr, env: Dict[str, Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
@@ -52,23 +47,14 @@ def _string_items(node: ast.expr, env: Dict[str, Tuple[str, ...]]) -> Optional[T
         right = _string_items(node.right, env)
         if left is not None and right is not None:
             return left + right
-        return None
-    if isinstance(node, ast.Call):
-        # frozenset({...}) / set({...}) / tuple((...)) wrappers
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("frozenset", "set", "tuple")
-            and len(node.args) == 1
-        ):
-            return _string_items(node.args[0], env)
     return None
 
 
 class DigestCompletenessRule(Rule):
     name = "digest-completeness"
     description = (
-        "every FlowConfig field is in some _STAGE_KEYS digest tuple or in "
-        "the _DIGEST_EXEMPT set; every key and exemption names a real field"
+        "every FlowConfig field is in some _STAGE_KEYS digest tuple; every "
+        "key names a real field"
     )
     # Scoped by *content*, not module: the rule only fires on files that
     # define both FlowConfig and _STAGE_KEYS (the real config module, or a
@@ -79,8 +65,6 @@ class DigestCompletenessRule(Rule):
         env: Dict[str, Tuple[str, ...]] = {}
         stage_keys: Optional[ast.expr] = None
         stage_keys_node: Optional[ast.stmt] = None
-        exempt: Tuple[str, ...] = ()
-        exempt_node: Optional[ast.stmt] = None
         config_class: Optional[ast.ClassDef] = None
 
         for stmt in source.tree.body:
@@ -97,9 +81,6 @@ class DigestCompletenessRule(Rule):
                     continue
                 if target.id == _KEYS_NAME:
                     stage_keys, stage_keys_node = value, stmt
-                elif target.id == _EXEMPT_NAME:
-                    exempt = _string_items(value, env) or ()
-                    exempt_node = stmt
                 else:
                     items = _string_items(value, env)
                     if items is not None:
@@ -150,31 +131,15 @@ class DigestCompletenessRule(Rule):
                         f"not a {_CONFIG_CLASS} field (typo or stale rename?)",
                     )
 
-        for name in sorted(exempt):
-            if name not in field_names:
-                yield self.finding(
-                    source,
-                    exempt_node or stage_keys_node,
-                    f"{_EXEMPT_NAME} names unknown field {name!r}",
-                )
-            elif name in digested:
-                yield self.finding(
-                    source,
-                    exempt_node or stage_keys_node,
-                    f"{_EXEMPT_NAME} lists {name!r} but it IS part of a stage "
-                    f"digest — drop the stale exemption",
-                )
-
         for name, node in fields:
-            if name in digested or name in exempt:
+            if name in digested:
                 continue
             yield self.finding(
                 source,
                 node,
                 f"{_CONFIG_CLASS}.{name} is in no stage digest: a change to it "
                 f"would silently reuse stale cache artifacts — add it to the "
-                f"right {_KEYS_NAME} tuple(s) or, if proven result-neutral, "
-                f"to {_EXEMPT_NAME}",
+                f"right {_KEYS_NAME} tuple(s)",
             )
 
     @staticmethod

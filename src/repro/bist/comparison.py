@@ -108,7 +108,6 @@ def compare_structures(
     fault_patterns: Optional[int] = None,
     word_width: int = 256,
     engine: str = "compiled",
-    jobs: int = 1,
     fault_seed: int = 0,
 ) -> StructureComparison:
     """Synthesise ``fsm`` for every requested structure and collect metrics.
@@ -116,8 +115,8 @@ def compare_structures(
     When ``fault_patterns`` is given, every structure's gate-level circuit is
     additionally fault-simulated with that many random patterns (exactly that
     many — partial final words are lane-masked) and the measured stuck-at
-    coverage is attached to the metrics; ``word_width``, ``engine`` and
-    ``jobs`` tune the fault-simulation back end.
+    coverage is attached to the metrics; ``word_width`` and ``engine`` tune
+    the fault-simulation back end.
 
     This is a compatibility wrapper over the staged pipeline of
     :mod:`repro.flow` — each structure runs through :func:`repro.flow.run_flow`
@@ -140,11 +139,6 @@ def compare_structures(
             fault_patterns=fault_patterns,
             fault_seed=fault_seed,
         )
-        # The fault-sim ``jobs`` parameter must not clobber a parallelism
-        # request carried in ``options.jobs`` (the multi-start fan-out):
-        # jobs is result-neutral everywhere, so honour the larger of the two.
-        if jobs > config.jobs:
-            config = config.replace(jobs=jobs)
         result = run_flow(fsm, config, materialize=True)
         controllers[structure] = result.controller
         m = result.metrics

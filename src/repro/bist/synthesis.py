@@ -62,8 +62,6 @@ class SynthesisOptions:
             ``"incremental"`` (bitmask engine) or ``"reference"`` (original
             full-rescore implementation; bit-identical, kept as the oracle).
         multi_start: independent MISR-assignment searches; the best wins.
-        jobs: worker processes for the multi-start fan-out (the winner is
-            deterministic, so the result never depends on ``jobs``).
         max_polynomials: primitive feedback polynomials examined per width
             during the MISR assignment (the polynomial-ablation axis).
         input_weight: weight of the input (face) incompatibility term of the
@@ -82,7 +80,6 @@ class SynthesisOptions:
     quick_threshold: int = 700
     assignment_engine: str = "incremental"
     multi_start: int = 1
-    jobs: int = 1
     max_polynomials: int = 16
     input_weight: int = 2
     output_weight: int = 1
@@ -228,7 +225,6 @@ def assign_states(
             output_weight=opts.output_weight,
             engine=opts.assignment_engine,
             multi_start=opts.multi_start,
-            jobs=opts.jobs,
         )
         chosen_register = register if register is not None else result.lfsr
         return result.encoding, chosen_register, {

@@ -20,11 +20,10 @@ evaluation program* and single-fault propagation over fanout cones
 * only the observation points inside the cone are compared, under the
   lane mask, and a fault is *dropped* the moment it is detected; the run
   is cycle-major, so the good circuit is evaluated once per cycle however
-  many faults remain,
-* with ``jobs > 1`` the fault list is split across worker processes
-  (:class:`concurrent.futures.ProcessPoolExecutor`) and the slices are
-  merged deterministically (per-fault results are independent, so the
-  merged detection cycles equal a single-process run exactly).
+  many faults remain.
+
+A run is one process: a sweep parallelises across cells
+(:mod:`repro.flow.backends`), never inside one fault list.
 
 The cone path is exact because the default observation points include
 every flip-flop data signal: a fault that changes the next state in a
@@ -62,10 +61,8 @@ circuit, and by the ``engine-parity`` fuzz invariant on every route);
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     List,
@@ -82,7 +79,7 @@ from .simulate import StuckAtFault
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a circular import
     from .faults import FaultSimulationResult
 
-__all__ = ["CompiledFaultEngine", "partition_faults"]
+__all__ = ["CompiledFaultEngine"]
 
 Op = Callable[[List[int]], None]
 #: ``(position, site, word, force_idx, ops, observed cone points)`` of one
@@ -107,34 +104,6 @@ class _Program(NamedTuple):
     cone: Tuple[int, ...]
     #: Flip-flop position of a capture fault, whose stored word is forced.
     capture: Optional[int]
-
-
-def partition_faults(
-    faults: Sequence[StuckAtFault], shard_count: int
-) -> List[List[StuckAtFault]]:
-    """Deterministic, shard-count-stable partition of a fault list.
-
-    Returns exactly ``shard_count`` contiguous slices whose sizes differ by
-    at most one (the first ``len(faults) % shard_count`` shards take the
-    extra fault); concatenating the shards in order reproduces the input
-    list exactly.  :meth:`CompiledFaultEngine.run` with ``jobs > 1`` hands
-    one slice to each worker process.
-
-    Shards may be empty when ``shard_count`` exceeds the fault count; every
-    fault's simulation is independent, so the merged result is identical at
-    every shard count.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    total = len(faults)
-    base, extra = divmod(total, shard_count)
-    shards: List[List[StuckAtFault]] = []
-    start = 0
-    for index in range(shard_count):
-        size = base + (1 if index < extra else 0)
-        shards.append(list(faults[start:start + size]))
-        start += size
-    return shards
 
 
 def _const_op(out: int, value: int) -> Op:
@@ -443,7 +412,6 @@ class CompiledFaultEngine:
         initial_state: Optional[Mapping[str, int]] = None,
         stop_when_all_detected: bool = True,
         lane_masks: Optional[Sequence[int]] = None,
-        jobs: int = 1,
     ) -> "FaultSimulationResult":
         """Fault-simulate an input sequence; see :class:`FaultSimulator`.
 
@@ -470,25 +438,13 @@ class CompiledFaultEngine:
             result.patterns_simulated = sum(bin(m).count("1") for m in masks[:cycles])
             return result
 
-        jobs = max(1, int(jobs))
-        if jobs > 1 and len(fault_list) > 1:
-            detection = self._run_sharded(
-                input_sequence,
-                fault_list,
-                observation,
-                initial_state,
-                stop_when_all_detected,
-                lane_masks,
-                jobs,
-            )
-        else:
-            detection = self._detect(
-                fault_list,
-                self._prepare_sequence(input_sequence),
-                obs_idx,
-                masks,
-                self._state_words(initial_state),
-            )
+        detection = self._detect(
+            fault_list,
+            self._prepare_sequence(input_sequence),
+            obs_idx,
+            masks,
+            self._state_words(initial_state),
+        )
 
         for key, cycle in detection.items():
             result.detected.add(key)
@@ -653,69 +609,3 @@ class CompiledFaultEngine:
             if capture is not None:
                 state[capture] = word
         return None
-
-    def _run_sharded(
-        self,
-        input_sequence: Sequence[Mapping[str, int]],
-        fault_list: List[StuckAtFault],
-        observation: List[str],
-        initial_state: Optional[Mapping[str, int]],
-        stop_when_all_detected: bool,
-        lane_masks: Optional[Sequence[int]],
-        jobs: int,
-    ) -> Dict[str, int]:
-        """Shard the fault list across processes and merge detections.
-
-        Each fault is simulated independently, so the merged per-fault
-        detection cycles are identical to a single-process run regardless of
-        the shard boundaries.
-        """
-        shards = min(jobs, len(fault_list))
-        chunks = partition_faults(fault_list, shards)
-        seq = [dict(inputs) for inputs in input_sequence]
-        masks = list(lane_masks) if lane_masks is not None else None
-        init = dict(initial_state) if initial_state is not None else None
-        payloads = [
-            (
-                self.netlist,
-                self.word_width,
-                seq,
-                chunk,
-                observation,
-                init,
-                stop_when_all_detected,
-                masks,
-            )
-            for chunk in chunks
-            if chunk
-        ]
-        detection: Dict[str, int] = {}
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            for shard_detection in pool.map(_simulate_fault_shard, payloads):
-                detection.update(shard_detection)
-        return detection
-
-
-def _simulate_fault_shard(payload: Tuple[Any, ...]) -> Dict[str, int]:
-    """Worker: rebuild the engine in the child process and run one shard."""
-    (
-        netlist,
-        word_width,
-        input_sequence,
-        fault_list,
-        observation,
-        initial_state,
-        stop_when_all_detected,
-        lane_masks,
-    ) = payload
-    engine = CompiledFaultEngine(netlist, word_width)
-    result = engine.run(
-        input_sequence,
-        fault_list,
-        observe=observation,
-        initial_state=initial_state,
-        stop_when_all_detected=stop_when_all_detected,
-        lane_masks=lane_masks,
-        jobs=1,
-    )
-    return result.detection_cycle

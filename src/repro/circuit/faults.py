@@ -16,8 +16,7 @@ combinational logic and the register structure.  This module provides
 run through the compiled bit-parallel engine in
 :mod:`repro.circuit.engine` (``engine="compiled"``), which produces
 bit-exact identical results to the original pure-Python loop
-(``engine="legacy"``) while being several times faster and able to shard
-the fault list across processes (``jobs``).
+(``engine="legacy"``) while being several times faster.
 
 Behaviour notes (changed relative to the seed implementation):
 
@@ -263,8 +262,6 @@ class FaultSimulator:
     uses the precompiled bit-parallel engine of
     :mod:`repro.circuit.engine`; ``"legacy"`` keeps the original
     interpreted per-gate loop.  Both produce bit-exact identical results.
-    ``jobs`` > 1 shards the fault list across worker processes (compiled
-    engine only).
     """
 
     def __init__(
@@ -272,7 +269,6 @@ class FaultSimulator:
         netlist: Netlist,
         word_width: int = 64,
         engine: str = "compiled",
-        jobs: int = 1,
     ) -> None:
         if engine not in ("compiled", "legacy"):
             raise ValueError(f"unknown engine {engine!r} (expected 'compiled' or 'legacy')")
@@ -280,7 +276,6 @@ class FaultSimulator:
         self.simulator = LogicSimulator(netlist, word_width)
         self.word_width = word_width
         self.engine = engine
-        self.jobs = max(1, int(jobs))
         self._compiled: Optional["CompiledFaultEngine"] = None
         if engine == "compiled":
             from .engine import CompiledFaultEngine
@@ -330,7 +325,6 @@ class FaultSimulator:
                 initial_state=initial_state,
                 stop_when_all_detected=stop_when_all_detected,
                 lane_masks=lane_masks,
-                jobs=self.jobs,
             )
         return self._run_legacy(
             input_sequence,

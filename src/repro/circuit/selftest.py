@@ -19,8 +19,7 @@ EsWu 91).  This module turns those arguments into measurable experiments:
 
 Both sessions fault-simulate through the compiled engine of
 :mod:`repro.circuit.engine` by default (``engine="compiled"``); pass
-``engine="legacy"`` to use the original interpreted loop and ``jobs`` to
-shard the fault list across processes.
+``engine="legacy"`` to use the original interpreted loop.
 """
 
 from __future__ import annotations
@@ -68,16 +67,15 @@ def simulate_parallel_self_test(
     seed: int = 0,
     netlist: Optional[Netlist] = None,
     engine: str = "compiled",
-    jobs: int = 1,
 ) -> SelfTestResult:
     """Run a PST-style self-test: system mode, random primary-input patterns.
 
     The session is one sequential run, so the simulation uses a single
-    pattern lane per cycle (``word_width=1``); ``engine``/``jobs`` select
-    the fault-simulation back end (see :class:`repro.circuit.faults.FaultSimulator`).
+    pattern lane per cycle (``word_width=1``); ``engine`` selects the
+    fault-simulation back end (see :class:`repro.circuit.faults.FaultSimulator`).
     """
     circuit = netlist if netlist is not None else netlist_from_controller(controller)
-    simulator = FaultSimulator(circuit, word_width=1, engine=engine, jobs=jobs)
+    simulator = FaultSimulator(circuit, word_width=1, engine=engine)
     rng = random.Random(seed)
     sequence = [
         {name: rng.getrandbits(1) for name in circuit.primary_inputs}
@@ -100,7 +98,6 @@ def simulate_conventional_self_test(
     max_patterns: int = 512,
     seed: int = 0,
     engine: str = "compiled",
-    jobs: int = 1,
 ) -> SelfTestResult:
     """Run a DFF-style self-test of the combinational logic.
 
@@ -133,7 +130,7 @@ def simulate_conventional_self_test(
         sequence.append(vector)
         lfsr_state = generator.next_state(lfsr_state)
 
-    simulator = FaultSimulator(circuit, word_width=1, engine=engine, jobs=jobs)
+    simulator = FaultSimulator(circuit, word_width=1, engine=engine)
     result = simulator.run(sequence, stop_when_all_detected=False)
     return SelfTestResult(
         structure=controller.structure,

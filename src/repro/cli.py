@@ -16,8 +16,7 @@ the content-addressed artifact cache so re-runs skip unchanged stages.
   measured stuck-at coverage column),
 * ``repro faultsim controller.kiss2 --patterns 4096 --word-width 256`` —
   stuck-at fault simulation of one synthesised circuit through the compiled
-  bit-parallel engine (``--engine legacy`` selects the reference loop,
-  ``--jobs N`` shards the fault list across processes),
+  bit-parallel engine (``--engine legacy`` selects the reference loop),
 * ``repro benchmarks --names dk16,dk512`` — regenerate the Table 2 / Table 3
   rows for a set of MCNC benchmarks through the sweep orchestrator
   (synthetic stand-ins unless a data directory with the original ``.kiss2``
@@ -63,9 +62,9 @@ the content-addressed artifact cache so re-runs skip unchanged stages.
 shared ``--queue-dir`` serviced by any number of ``repro worker``
 processes, the http backend through a ``repro serve`` coordinator named
 by ``--coordinator-url``, and both are bit-identical to the serial
-backend at every worker count.  Backends parallelise across cells; a
-single flow run (``synthesize``, ``compare``, ``faultsim``) splits its
-fault list across ``--jobs N`` processes instead.
+backend at every worker count.  ``--jobs`` belongs to these two
+commands only: a single flow run (``synthesize``, ``compare``,
+``faultsim``) is one process, and sweeps parallelise across cells.
 
 Invoke as ``python -m repro ...`` (an entry point is intentionally avoided so
 the offline editable install stays trivial).
@@ -356,6 +355,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the executor-backend options shared by sweep-shaped commands."""
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes of the pool backend (one cell each)")
     parser.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
                         help="execution backend (default: pool when --jobs > 1, "
                              "else serial)")

@@ -30,17 +30,14 @@ results, so the reference engine doubles as the parity oracle and the
 benchmark baseline.
 
 ``multi_start=M`` runs ``M`` independent searches (seeds ``seed .. seed+M-1``)
-and keeps the best result; ``jobs=N`` spreads the starts over worker
-processes.  The winner is selected by a deterministic key, so the result does
-not depend on ``jobs``.
+in order and keeps the best result, selected by a deterministic key.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..fsm.machine import FSM
 from ..lfsr.lfsr import LFSR
@@ -105,7 +102,6 @@ def assign_misr_states(
     output_weight: int = 1,
     engine: str = "incremental",
     multi_start: int = 1,
-    jobs: int = 1,
 ) -> MISRAssignmentResult:
     """Assign state codes for a controller with a MISR state register.
 
@@ -134,9 +130,7 @@ def assign_misr_states(
             :mod:`repro.encoding.score`, ``"reference"`` for the original
             full-rescore implementation.  Both return bit-identical results.
         multi_start: number of independent searches (seeds ``seed`` through
-            ``seed + multi_start - 1``); the best result wins.
-        jobs: worker processes for the multi-start fan-out.  The winner is
-            picked deterministically, so the result is independent of ``jobs``.
+            ``seed + multi_start - 1``), run in order; the best result wins.
     """
     r = width if width is not None else fsm.min_code_bits
     if (1 << r) < fsm.num_states:
@@ -147,33 +141,20 @@ def assign_misr_states(
         raise ValueError(f"unknown register type {register!r}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if multi_start < 1 or jobs < 1:
-        raise ValueError("multi_start and jobs must be >= 1")
+    if multi_start < 1:
+        raise ValueError("multi_start must be >= 1")
 
     imps = tuple(implicants) if implicants is not None else tuple(symbolic_minimize(fsm))
 
-    if multi_start == 1:
-        return _assign_single(
-            fsm, r, beam_width, partitions_per_column, seed, imps, max_polynomials,
-            refinement_passes, refinement_moves_per_pass, register,
-            input_weight, output_weight, engine,
-        )
-
-    payloads = [
-        (
+    results = [
+        _assign_single(
             fsm, r, beam_width, partitions_per_column, seed + start, imps,
             max_polynomials, refinement_passes, refinement_moves_per_pass,
             register, input_weight, output_weight, engine,
         )
         for start in range(multi_start)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, multi_start)) as pool:
-            results = list(pool.map(_assign_single_payload, payloads))
-    else:
-        results = [_assign_single_payload(p) for p in payloads]
-    # Deterministic winner: best estimate, then cost, then the earliest start,
-    # independent of how the starts were scheduled over the workers.
+    # Deterministic winner: best estimate, then cost, then the earliest start.
     return min(
         enumerate(results),
         key=lambda item: (
@@ -183,10 +164,6 @@ def assign_misr_states(
             item[0],
         ),
     )[1]
-
-
-def _assign_single_payload(payload: Tuple[Any, ...]) -> MISRAssignmentResult:
-    return _assign_single(*payload)
 
 
 def _assign_single(

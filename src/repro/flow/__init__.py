@@ -11,9 +11,8 @@ local process pool, a filesystem work-queue serviced by ``repro
 worker`` daemons (:mod:`repro.flow.worker`), or a ``repro serve`` HTTP
 coordinator (:mod:`repro.flow.net`) whose ``repro worker --url`` fleets
 and shared :class:`RemoteCache` tier span hosts with no shared
-filesystem at all.  Sweeps parallelise across cells; one large run's
-fault list is split across processes by the fault simulator, with
-``FlowConfig(jobs=N)``.
+filesystem at all.  A run is one process; sweeps parallelise across
+cells.
 
 Every front end — the ``repro`` CLI, the benchmark harnesses under
 ``benchmarks/``, and remote workers — drives the engines of PR 1/2

@@ -46,9 +46,7 @@ class SweepExecutor(abc.ABC):
     name: ClassVar[str] = "abstract"
 
     #: True when cells run in the caller's process — the orchestrator then
-    #: hands live FSM objects and its shared cache instance to the backend
-    #: (and leaves worker-side ``config.jobs`` untouched, since there is no
-    #: risk of nested process pools).
+    #: hands live FSM objects and its shared cache instance to the backend.
     in_process: ClassVar[bool] = False
 
     @abc.abstractmethod

@@ -10,11 +10,9 @@ eventually remote workers) and lets the artifact cache address results by a
 content digest of the configuration.
 
 Per-stage digests (:meth:`FlowConfig.stage_digest`) only hash the fields
-that can change that stage's output — ``jobs`` is excluded everywhere
-because both the multi-start assignment and the fault simulator's
-process pool are deterministic-merge parallel (the result never depends
-on the worker count), fault-simulation knobs do not invalidate cached
-assignment or minimisation artifacts, and the knobs of the MISR state assignment
+that can change that stage's output: fault-simulation knobs do not
+invalidate cached assignment or minimisation artifacts, and the knobs of
+the MISR state assignment
 (``seed``, ``beam_width``, ...) are hashed only for the PST and SIG
 structures that run it: the DFF and PAT assigners read nothing but
 ``width``, so their artifacts are shared across seeds.  The assign stage
@@ -55,6 +53,7 @@ FLOW_STAGES: Tuple[str, ...] = (
 _VALID_STRUCTURES = tuple(s.value for s in BISTStructure)
 _VALID_ASSIGNMENT_ENGINES = ("incremental", "reference")
 _VALID_FAULT_ENGINES = ("compiled", "legacy")
+_VALID_MINIMIZE_METHODS = ("auto", "espresso", "quick")
 
 # The state assigner each structure runs (``bist.synthesis.assign_states``).
 # The assign stage digests the assigner, not the structure: PST and SIG
@@ -111,14 +110,6 @@ _STAGE_KEYS: Dict[str, Tuple[str, ...]] = {
     "faultsim": _FAULTSIM_KEYS,
 }
 
-#: Fields deliberately absent from every stage digest.  Only fields proven
-#: result-neutral belong here: ``jobs`` never changes any output because
-#: both the multi-start assignment and the fault simulator's process pool
-#: merge deterministically (CI pins this with jobs-independence parity tests).
-#: The ``digest-completeness`` lint rule cross-checks this set against the
-#: dataclass fields and the ``_STAGE_KEYS`` tuples.
-_DIGEST_EXEMPT = frozenset({"jobs"})
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -129,9 +120,7 @@ class FlowConfig:
     ``fault_collapse`` configure the optional fault-simulation stage, and
     ``structure`` names the BIST target (``"DFF"``, ``"PAT"``, ``"SIG"`` or
     ``"PST"``).  ``fault_patterns=None`` skips the fault-simulation stage.
-    ``jobs`` is the one parallelism knob of a run: the multi-start
-    assignment and the fault simulator split their work across that many
-    processes, with a result identical at every count.
+    A run is one process; sweeps parallelise across cells.
     """
 
     structure: str = "PST"
@@ -145,7 +134,6 @@ class FlowConfig:
     quick_threshold: int = 700
     assignment_engine: str = "incremental"
     multi_start: int = 1
-    jobs: int = 1
     max_polynomials: int = 16
     input_weight: int = 2
     output_weight: int = 1
@@ -169,10 +157,15 @@ class FlowConfig:
             raise ValueError(
                 f"unknown fault-sim engine {self.engine!r} (expected one of {_VALID_FAULT_ENGINES})"
             )
+        if self.minimize_method not in _VALID_MINIMIZE_METHODS:
+            raise ValueError(
+                f"unknown minimize method {self.minimize_method!r} "
+                f"(expected one of {_VALID_MINIMIZE_METHODS})"
+            )
+        if self.beam_width < 1 or self.partitions_per_column < 1:
+            raise ValueError("beam_width and partitions_per_column must be >= 1")
         if self.multi_start < 1:
             raise ValueError("multi_start must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.max_polynomials < 1:
             raise ValueError("max_polynomials must be >= 1")
         if self.input_weight < 0 or self.output_weight < 0:
@@ -204,7 +197,6 @@ class FlowConfig:
             quick_threshold=self.quick_threshold,
             assignment_engine=self.assignment_engine,
             multi_start=self.multi_start,
-            jobs=self.jobs,
             max_polynomials=self.max_polynomials,
             input_weight=self.input_weight,
             output_weight=self.output_weight,
@@ -240,8 +232,7 @@ class FlowConfig:
     def stage_digest(self, stage: str) -> str:
         """Content digest of the fields that can change ``stage``'s output.
 
-        ``jobs`` never participates (parallelism is result-identical), a
-        stage's digest is insensitive to knobs of later stages — changing
+        A stage's digest is insensitive to knobs of later stages — changing
         ``fault_patterns`` keeps cached assignment/minimisation artifacts
         valid — the MISR-assignment knobs count only for PST and SIG, and
         the assign stage keys on the assigner rather than the structure.
@@ -276,9 +267,9 @@ def add_flow_arguments(
     """Attach the shared flow options to an (sub)parser.
 
     Every CLI subcommand that runs the pipeline uses this single bridge, so
-    the PR 1/2 engine knobs (``--assignment-engine``, ``--multi-start``,
-    ``--jobs``, ``--word-width``, ``--engine``) are available uniformly
-    instead of drifting per subcommand.
+    the engine knobs (``--assignment-engine``, ``--multi-start``,
+    ``--word-width``, ``--engine``) are available uniformly instead of
+    drifting per subcommand.
     """
     if structure:
         parser.add_argument(
@@ -303,9 +294,6 @@ def add_flow_arguments(
     parser.add_argument("--output-weight", type=int, default=1,
                         help="weight of the output (excitation) incompatibility "
                              "term of the MISR assignment cost")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (multi-start fan-out / fault-list "
-                             "sharding / sweep cells)")
     parser.add_argument("--word-width", type=int, default=256,
                         help="pattern lanes per simulated word")
     parser.add_argument("--engine", choices=list(_VALID_FAULT_ENGINES), default="compiled",

@@ -409,9 +409,7 @@ def run_flow(
 
             circuit = netlist_from_controller(ctx.controller())
             faults = enumerate_faults(circuit, collapse=cfg.fault_collapse)
-            simulator = FaultSimulator(
-                circuit, word_width=cfg.word_width, engine=cfg.engine, jobs=cfg.jobs
-            )
+            simulator = FaultSimulator(circuit, word_width=cfg.word_width, engine=cfg.engine)
             result = simulator.coverage_for_random_patterns(
                 fault_patterns, seed=cfg.fault_seed, faults=faults
             )

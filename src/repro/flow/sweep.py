@@ -26,10 +26,7 @@ before any of its siblings, so concurrent workers do not compute one
 shared assign artifact twice.  Outcomes merge by cell id, so the order
 changes no result.
 
-A sweep parallelises across cells only.  One large cell's fault list is
-split across processes by the fault simulator itself, with
-``FlowConfig(jobs=N)`` on the serial backend (out-of-process backends run
-every cell with ``jobs=1``).
+A sweep parallelises across cells only; a run is one process.
 """
 
 from __future__ import annotations
@@ -266,10 +263,6 @@ class Sweep:
         KISS2 text, state order, config dict) — the payload shape the
         executor backends distribute, locally or across hosts.
         """
-        # Out-of-process backends force worker-side jobs=1: no nested
-        # process pools, and the stage digests exclude ``jobs`` so the
-        # results are identical either way.
-        worker_jobs = self.config.jobs if self.executor.in_process else 1
         tasks: List[Dict[str, Any]] = []
         cache_dir = str(self.cache.root) if self.cache is not None else None
         # A RemoteCache carries its coordinator URL; shipping it with the
@@ -280,9 +273,7 @@ class Sweep:
             kiss = write_kiss(fsm)
             states = list(fsm.states)
             if self.random_trials is not None:
-                baseline_config = self.config.replace(
-                    structure="PST", seed=self.seeds[0], jobs=worker_jobs
-                )
+                baseline_config = self.config.replace(structure="PST", seed=self.seeds[0])
                 baseline_task: Dict[str, Any] = {
                     "kind": "baseline",
                     "name": fsm.name,
@@ -300,9 +291,7 @@ class Sweep:
                 tasks.append(baseline_task)
             for seed in self.seeds:
                 for structure in self.structures:
-                    cell_config = self.config.replace(
-                        structure=structure, seed=seed, jobs=worker_jobs
-                    )
+                    cell_config = self.config.replace(structure=structure, seed=seed)
                     flow_task: Dict[str, Any] = {
                         "kind": "flow",
                         "name": fsm.name,

@@ -128,7 +128,6 @@ def faultsim_rows(result: Mapping[str, Any]) -> List[List[object]]:
         ["structure", result["structure"]],
         ["engine", config["engine"]],
         ["word width", config["word_width"]],
-        ["jobs", config["jobs"]],
         ["gates", metrics["gates"]],
         [fault_label, metrics["fault_total"]],
         ["patterns simulated", metrics["patterns_simulated"]],

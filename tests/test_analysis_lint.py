@@ -155,8 +155,6 @@ _STAGE_KEYS = {{
     "faultsim": _FAULTSIM_KEYS,
 }}
 
-_DIGEST_EXEMPT = frozenset({exempt})
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -166,8 +164,8 @@ class FlowConfig:
 {extra_fields}"""
 
 
-def config_fixture(exempt='{"jobs"}', extra_fields="    jobs: int = 1\n") -> str:
-    return CONFIG_TEMPLATE.format(exempt=exempt, extra_fields=extra_fields)
+def config_fixture(extra_fields: str = "") -> str:
+    return CONFIG_TEMPLATE.format(extra_fields=extra_fields)
 
 
 class TestDigestCompletenessRule:
@@ -175,21 +173,9 @@ class TestDigestCompletenessRule:
         assert not findings_for(config_fixture(), "digest-completeness")
 
     def test_missing_field_flagged(self):
-        text = config_fixture(
-            extra_fields="    jobs: int = 1\n    poison_knob: int = 0\n"
-        )
+        text = config_fixture(extra_fields="    poison_knob: int = 0\n")
         found = findings_for(text, "digest-completeness")
         assert found and "poison_knob" in found[0].message
-
-    def test_stale_exemption_flagged(self):
-        text = config_fixture(exempt='{"jobs", "seed"}')
-        found = findings_for(text, "digest-completeness")
-        assert found and "seed" in found[0].message and "stale" in found[0].message
-
-    def test_unknown_exemption_flagged(self):
-        text = config_fixture(exempt='{"jobs", "ghost"}')
-        found = findings_for(text, "digest-completeness")
-        assert found and "ghost" in found[0].message
 
     def test_typo_in_stage_tuple_flagged(self):
         text = config_fixture().replace('"fault_patterns",', '"fault_pattrens",')
@@ -201,7 +187,6 @@ class TestDigestCompletenessRule:
     def test_pragma_suppressed(self):
         text = config_fixture(
             extra_fields=(
-                "    jobs: int = 1\n"
                 "    # repro: allow-digest-completeness -- display-only knob\n"
                 "    label: str = ''\n"
             )

@@ -70,7 +70,7 @@ class TestFaultsimCommand:
         args = build_parser().parse_args(["faultsim", str(kiss_path)])
         assert args.engine == "compiled"
         assert args.word_width == 256
-        assert args.jobs == 1
+        assert not hasattr(args, "jobs")
         assert not args.collapse
 
     def test_faultsim_runs_compiled(self, kiss_path, capsys):
@@ -130,25 +130,31 @@ class TestBenchmarksCommand:
 
 
 class TestUniformFlowKnobs:
-    """The PR 2 engine knobs are routed through every subcommand uniformly."""
+    """The engine knobs are routed through every subcommand uniformly;
+    ``--jobs`` (cell-level parallelism) belongs to the sweep commands only."""
 
     KNOBS = ["--assignment-engine", "reference", "--multi-start", "2",
-             "--jobs", "2", "--word-width", "64", "--engine", "legacy"]
+             "--word-width", "64", "--engine", "legacy"]
 
     @pytest.mark.parametrize("command", ["synthesize", "compare", "faultsim"])
     def test_knobs_parse_on_file_commands(self, command, kiss_path):
         args = build_parser().parse_args([command, str(kiss_path)] + self.KNOBS)
         assert args.assignment_engine == "reference"
         assert args.multi_start == 2
-        assert args.jobs == 2
         assert args.word_width == 64
         assert args.engine == "legacy"
 
+    @pytest.mark.parametrize("command", ["synthesize", "compare", "faultsim"])
+    def test_jobs_is_rejected_on_file_commands(self, command, kiss_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, str(kiss_path), "--jobs", "2"])
+
     def test_knobs_parse_on_benchmarks(self):
-        args = build_parser().parse_args(["benchmarks"] + self.KNOBS)
+        args = build_parser().parse_args(["benchmarks"] + self.KNOBS + ["--jobs", "2"])
         assert args.assignment_engine == "reference"
         assert args.multi_start == 2
         assert args.word_width == 64
+        assert args.jobs == 2
 
     def test_compare_multi_start_runs(self, kiss_path, capsys):
         exit_code = main(["compare", str(kiss_path), "--multi-start", "2"])

@@ -133,11 +133,18 @@ class TestEngineParity:
 
 
 class TestMultiStart:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_result_is_independent_of_jobs(self, small_controller, jobs):
-        base = assign_misr_states(small_controller, seed=0, multi_start=3, jobs=1)
-        fanned = assign_misr_states(small_controller, seed=0, multi_start=3, jobs=jobs)
-        assert _result_tuple(fanned) == _result_tuple(base)
+    def test_winner_is_the_best_single_start(self, small_controller):
+        """Starts run in order with seeds ``seed..seed+M-1``; the winner is the
+        deterministic minimum (estimate, cost, feedback cost, earliest start)."""
+        singles = [assign_misr_states(small_controller, seed=seed) for seed in range(3)]
+        best = min(
+            enumerate(singles),
+            key=lambda item: (
+                item[1].estimated_product_terms, item[1].cost, item[1].feedback_cost, item[0]
+            ),
+        )[1]
+        multi = assign_misr_states(small_controller, seed=0, multi_start=3)
+        assert _result_tuple(multi) == _result_tuple(best)
 
     def test_multi_start_never_worse_than_single(self):
         fsm = load_benchmark("modulo12")
@@ -148,8 +155,6 @@ class TestMultiStart:
     def test_invalid_parameters(self, small_controller):
         with pytest.raises(ValueError):
             assign_misr_states(small_controller, multi_start=0)
-        with pytest.raises(ValueError):
-            assign_misr_states(small_controller, jobs=0)
         with pytest.raises(ValueError):
             assign_misr_states(small_controller, engine="turbo")
         with pytest.raises(ValueError):

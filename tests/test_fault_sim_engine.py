@@ -2,9 +2,8 @@
 
 The engine (:mod:`repro.circuit.engine`) must be *bit-exact* equal to the
 legacy interpreted simulator: same detected-fault set, same per-fault
-detection cycles, same cycle/pattern accounting — for every BIST structure,
-every word width and with the fault list sharded across processes.  The
-remaining tests pin the bug fixes that landed with the engine:
+detection cycles, same cycle/pattern accounting — for every BIST structure
+and every word width.  The remaining tests pin the bug fixes that landed with the engine:
 
 * exact pattern counts in ``coverage_for_random_patterns`` (no silent
   rounding up to whole words),
@@ -12,8 +11,7 @@ remaining tests pin the bug fixes that landed with the engine:
 * branch faults on fanout stems feeding flip-flop data inputs,
 * the single-pass ``coverage_curve``.
 
-It also pins ``partition_faults``, which splits the fault list across the
-``jobs`` processes, and the lane masks of ``coverage_for_random_patterns``.
+It also pins the lane masks of ``coverage_for_random_patterns``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.circuit import (
     netlist_from_controller,
     random_input_words,
 )
-from repro.circuit.engine import partition_faults
 from repro.circuit.faults import random_pattern_lane_masks
 from repro.fsm import generate_controller
 from repro.fsm.mcnc import load_benchmark
@@ -52,9 +49,9 @@ def _assert_results_equal(a: FaultSimulationResult, b: FaultSimulationResult) ->
     assert a.patterns_simulated == b.patterns_simulated
 
 
-def _run_both(netlist: Netlist, word_width: int, patterns: int, jobs: int = 1, seed: int = 3):
+def _run_both(netlist: Netlist, word_width: int, patterns: int, seed: int = 3):
     legacy = FaultSimulator(netlist, word_width=word_width, engine="legacy")
-    compiled = FaultSimulator(netlist, word_width=word_width, engine="compiled", jobs=jobs)
+    compiled = FaultSimulator(netlist, word_width=word_width, engine="compiled")
     rl = legacy.coverage_for_random_patterns(patterns, seed=seed, stop_when_all_detected=False)
     rc = compiled.coverage_for_random_patterns(patterns, seed=seed, stop_when_all_detected=False)
     return rl, rc
@@ -82,15 +79,6 @@ class TestEngineMatchesLegacy:
         rl, rc = _run_both(net, word_width=64, patterns=150)
         _assert_results_equal(rl, rc)
         assert rc.coverage > 0.0
-
-    def test_bit_exact_with_process_sharding(self, small_controller):
-        controller = synthesize(small_controller, BISTStructure.PST)
-        net = netlist_from_controller(controller)
-        single = FaultSimulator(net, word_width=64, jobs=1)
-        sharded = FaultSimulator(net, word_width=64, jobs=3)
-        r1 = single.coverage_for_random_patterns(120, seed=5, stop_when_all_detected=False)
-        r3 = sharded.coverage_for_random_patterns(120, seed=5, stop_when_all_detected=False)
-        _assert_results_equal(r1, r3)
 
     def test_early_stop_parity(self, small_controller):
         controller = synthesize(small_controller, BISTStructure.DFF)
@@ -352,32 +340,6 @@ class TestCompiledEngineDirect:
         result = engine.run([])
         assert result.cycles_simulated == 0
         assert result.detected == set()
-
-
-class TestPartitionFaults:
-    def _faults(self, small_controller):
-        controller = synthesize(small_controller, BISTStructure.PST)
-        return enumerate_faults(netlist_from_controller(controller))
-
-    def test_partition_is_balanced_and_order_stable(self, small_controller):
-        faults = self._faults(small_controller)
-        for count in (1, 2, 3, 7):
-            chunks = partition_faults(faults, count)
-            assert len(chunks) == count
-            sizes = [len(chunk) for chunk in chunks]
-            assert max(sizes) - min(sizes) <= 1
-            # Contiguous slices in enumeration order: the concatenation is
-            # the original list, so the assignment is shard-count-stable.
-            merged = [fault for chunk in chunks for fault in chunk]
-            assert merged == list(faults)
-
-    def test_more_shards_than_faults_yields_empty_tails(self):
-        chunks = partition_faults(["f0", "f1"], 5)
-        assert chunks == [["f0"], ["f1"], [], [], []]
-
-    def test_shard_count_validation(self):
-        with pytest.raises(ValueError, match="shard_count"):
-            partition_faults([], 0)
 
 
 class TestRandomPatternLaneMasks:

@@ -82,9 +82,18 @@ class TestFlowConfig:
             FlowConfig(engine="quantum")
         with pytest.raises(ValueError):
             FlowConfig(multi_start=0)
+        # Rejected when the config is built, not inside every sweep cell.
+        with pytest.raises(ValueError, match="minimize method"):
+            FlowConfig(minimize_method="bogus")
+        with pytest.raises(ValueError, match="beam_width"):
+            FlowConfig(beam_width=0)
+        with pytest.raises(ValueError, match="partitions_per_column"):
+            FlowConfig(partitions_per_column=0)
+        for method in ("auto", "espresso", "quick"):
+            assert FlowConfig(minimize_method=method).minimize_method == method
 
     def test_synthesis_options_round_trip(self):
-        config = FlowConfig(width=4, beam_width=6, multi_start=3, jobs=2, seed=7)
+        config = FlowConfig(width=4, beam_width=6, multi_start=3, seed=7)
         options = config.to_synthesis_options()
         assert options.width == 4 and options.beam_width == 6
         again = FlowConfig.from_synthesis_options(options, structure="DFF")
@@ -96,11 +105,26 @@ class TestFlowConfig:
         assert base.digest() != base.replace(seed=1).digest()
         assert base.digest() == FlowConfig().digest()
 
-    def test_stage_digest_ignores_jobs_and_later_stages(self):
+    # Recorded before ``FlowConfig.jobs`` was removed: stage digests never
+    # hashed it, so every artifact cached by earlier versions stays valid.
+    PINNED_STAGE_DIGESTS = {
+        ("PST", "assign"): "0f99ec15ffaabda94a87a3d2396ccd87db25b527894a224d61e72e3cb9510692",
+        ("PST", "excite"): "798d49117ff1950ee4272123eef4c989e9e5bd3cf32d8ea5e41fbc08ce264f6b",
+        ("PST", "minimize"): "2a93aaec9091266d383c17bd27109cef6705277b31deae17f7dc13d3fe30dcdf",
+        ("PST", "faultsim"): "e31bc8dd9f0eb6be058249064e2da717697db7e14ab1dfeaa0816752c9767580",
+        ("DFF", "assign"): "00af0f5b39756fc656126bbb88b53db275a0866466f9bdd362e2c703155d6d05",
+        ("DFF", "excite"): "4770944d2cd9b8bd5e7b9668aa94535a2581d0cd0edfff1c94e0c31cebb43f60",
+        ("DFF", "minimize"): "7433d69f3d9b92e9126e3bc141f17ff77e9c59c0cb257de840355ed0476c560d",
+        ("DFF", "faultsim"): "f923bdb701d2cf1b4b36d4026cc75312875b44ad64749f8bd36fad61e63b89b0",
+    }
+
+    def test_stage_digests_are_pinned(self):
+        for (structure, stage), digest in self.PINNED_STAGE_DIGESTS.items():
+            config = FlowConfig(structure=structure, fault_patterns=1024)
+            assert config.stage_digest(stage) == digest, (structure, stage)
+
+    def test_stage_digest_ignores_later_stages(self):
         base = FlowConfig()
-        # jobs is result-identical parallelism: never invalidates artifacts.
-        assert base.stage_digest("assign") == base.replace(jobs=8).stage_digest("assign")
-        assert base.stage_digest("faultsim") == base.replace(jobs=8).stage_digest("faultsim")
         # fault knobs do not invalidate upstream synthesis artifacts.
         changed = base.replace(fault_patterns=512)
         assert base.stage_digest("assign") == changed.stage_digest("assign")
@@ -269,37 +293,6 @@ class TestRunFlow:
             states=list(reversed(small_controller.states)),
         )
         assert fsm_digest(small_controller) != fsm_digest(reordered)
-
-
-class TestRunFlowJobsParity:
-    """``FlowConfig(jobs=N)`` is the one way a run splits its fault list:
-    the faultsim stage hands it to the engine's process pool, and the
-    result is the same at every ``N``, with or without a cache."""
-
-    KNOBS = dict(fault_patterns=48, word_width=16, fault_seed=7)
-
-    def test_jobs_reach_faultsim_and_keep_the_result(self, tmp_path, monkeypatch):
-        from repro.circuit import CompiledFaultEngine
-
-        pools = []
-        run_sharded = CompiledFaultEngine._run_sharded
-
-        def spy(self, *args):
-            pools.append(args[-1])  # the worker count is the last argument
-            return run_sharded(self, *args)
-
-        monkeypatch.setattr(CompiledFaultEngine, "_run_sharded", spy)
-        baseline = run_flow("ex4", FlowConfig(**self.KNOBS))
-        assert pools == []
-        for jobs in (1, 2):
-            cfg = FlowConfig(jobs=jobs, **self.KNOBS)
-            uncached = run_flow("ex4", cfg)
-            cached = run_flow("ex4", cfg, cache=ArtifactCache(tmp_path / f"c{jobs}"))
-            for result in (uncached, cached):
-                assert _behaviour(result) == _behaviour(baseline), jobs
-                assert result.config == dict(baseline.config, jobs=jobs)
-        # Both jobs=2 runs (the cached one on a cold cache) used the pool.
-        assert pools == [2, 2]
 
 
 # -------------------------------------------------------------------- cache

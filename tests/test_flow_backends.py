@@ -3,6 +3,7 @@ cache eviction and the execution-metadata surface."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import threading
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.flow import (
     ArtifactCache,
@@ -100,6 +102,28 @@ class TestResolveBackend:
         assert Sweep(NAMES).executor.name == "serial"
         assert Sweep(NAMES, jobs=2).executor.name == "pool"
         assert Sweep(NAMES, backend="queue", queue_dir=tmp_path / "q").executor.name == "queue"
+
+
+class TestProcessStartPolicy:
+    """A run is one process; only the pool backend starts worker processes."""
+
+    SPAWNERS = ("ProcessPoolExecutor", "multiprocessing")
+
+    def test_only_the_pool_backend_imports_process_spawners(self):
+        package = Path(repro.__file__).parent
+        importers = set()
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[0] in self.SPAWNERS for name in names):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"flow/backends/pool.py"}
 
 
 # -------------------------------------------------------------------- parity
