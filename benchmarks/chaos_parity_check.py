@@ -81,7 +81,7 @@ def spawn_workers(
         procs.append(subprocess.Popen(
             [sys.executable, "-m", "repro", "worker", str(queue_dir),
              "--worker-id", f"chaos{index}", "--poll-interval", "0.02",
-             "--lease-timeout", "2.0", "--max-idle", "300"],
+             "--max-idle", "300"],
             env=env, stdout=log, stderr=subprocess.STDOUT,
         ))
     return procs

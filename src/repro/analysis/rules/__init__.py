@@ -13,6 +13,7 @@ from ..core import Rule
 from .atomic import AtomicWriteRule
 from .determinism import DeterminismRule
 from .digest import DigestCompletenessRule
+from .imports import UnusedImportRule
 from .ordering import UnorderedIterationRule
 from .serialization import SerializationRoundTripRule
 from .swallowed import SwallowedExceptionRule
@@ -27,6 +28,7 @@ __all__ = [
     "SerializationRoundTripRule",
     "SwallowedExceptionRule",
     "UnorderedIterationRule",
+    "UnusedImportRule",
 ]
 
 #: Every registered rule class, in report order.
@@ -37,6 +39,7 @@ RULE_CLASSES: List[Type[Rule]] = [
     AtomicWriteRule,
     UnorderedIterationRule,
     SwallowedExceptionRule,
+    UnusedImportRule,
 ]
 
 

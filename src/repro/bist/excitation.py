@@ -19,7 +19,7 @@ the don't-care set so that the two-level minimiser can exploit them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..encoding.assignment import StateEncoding
 from ..fsm.machine import FSM

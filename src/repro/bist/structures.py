@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 __all__ = ["BISTStructure", "StructureProfile", "structure_profile", "PAPER_TABLE1"]
 

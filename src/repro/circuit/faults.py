@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .netlist import Netlist
 from .simulate import LogicSimulator, StuckAtFault

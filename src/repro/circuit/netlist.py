@@ -12,8 +12,8 @@ fault simulators in :mod:`repro.circuit.simulate` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bist.structures import BISTStructure
 from ..bist.synthesis import SynthesizedController

@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bist.structures import BISTStructure
 from ..bist.synthesis import SynthesizedController
 from ..lfsr.lfsr import LFSR
-from ..lfsr.misr import MISR
-from .faults import FaultSimulationResult, FaultSimulator, enumerate_faults
+from .faults import FaultSimulator
 from .netlist import Netlist, netlist_from_controller, netlist_from_cover
 from .simulate import LogicSimulator
 

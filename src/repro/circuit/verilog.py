@@ -10,7 +10,7 @@ accepted by any Verilog front end without cell libraries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..bist.synthesis import SynthesizedController
 from .netlist import Gate, Netlist, netlist_from_controller

@@ -83,7 +83,6 @@ from .circuit.verilog import controller_to_verilog
 from .flow import (
     BACKEND_NAMES,
     ArtifactCache,
-    FlowConfig,
     Sweep,
     add_flow_arguments,
     config_from_args,
@@ -209,14 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stable worker identity (default: host-pid-nonce)")
     worker.add_argument("--poll-interval", type=float, default=0.1,
                         help="idle polling period in seconds")
-    worker.add_argument("--lease-timeout", type=float, default=30.0,
-                        help="lease window agreed with the orchestrator "
-                             "(queue mode)")
     worker.add_argument("--max-idle", type=float, default=None,
                         help="exit after this many idle seconds (default: wait "
                              "for the stop signal)")
-    worker.add_argument("--once", action="store_true",
-                        help="drain the queue and exit as soon as it is empty")
     worker.add_argument("--drain", action="store_true",
                         help="finish in-flight work, deregister and exit 0 as "
                              "soon as no cell is pending")
@@ -619,29 +613,19 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print("worker takes either a queue directory or --url, not both",
               file=sys.stderr)
         return 2
+    options = dict(
+        cache_dir=args.cache_dir,
+        worker_id=args.worker_id,
+        poll_interval=args.poll_interval,
+        max_idle=args.max_idle,
+        max_cells=args.max_cells,
+        drain=args.drain,
+        log=log,
+    )
     if args.url is not None:
-        stats = run_http_worker(
-            args.url,
-            cache_dir=args.cache_dir,
-            worker_id=args.worker_id,
-            poll_interval=args.poll_interval,
-            max_idle=args.max_idle,
-            max_cells=args.max_cells,
-            drain=args.drain or args.once,
-            log=log,
-        )
+        stats = run_http_worker(args.url, **options)
     elif args.queue_dir is not None:
-        stats = run_worker(
-            args.queue_dir,
-            cache_dir=args.cache_dir,
-            worker_id=args.worker_id,
-            poll_interval=args.poll_interval,
-            lease_timeout=args.lease_timeout,
-            max_idle=args.max_idle,
-            once=args.once or args.drain,
-            max_cells=args.max_cells,
-            log=log,
-        )
+        stats = run_worker(args.queue_dir, **options)
     else:
         print("worker needs a queue directory or --url http://host:port",
               file=sys.stderr)

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from ..fsm.kiss import parse_kiss_file
 from ..fsm.machine import FSM, FSMError
-from .generators import generate_corpus_fsm, generator_info, resolve_parameters
+from .generators import generate_corpus_fsm, resolve_parameters
 
 __all__ = [
     "CORPUS_PREFIX",

@@ -10,9 +10,9 @@ minimisation, the gate-level netlist) consumes it through this class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
-from ..fsm.machine import FSM, FSMError
+from ..fsm.machine import FSM
 
 __all__ = ["StateEncoding", "EncodingError", "natural_encoding", "gray_encoding"]
 

@@ -23,7 +23,6 @@ before committing to it, exactly as in Fig. 8/9 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..fsm.machine import FSM

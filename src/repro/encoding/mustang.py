@@ -23,7 +23,7 @@ weighted Hamming distance to its placed neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..fsm.machine import FSM
 from .assignment import StateEncoding

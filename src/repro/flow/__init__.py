@@ -31,6 +31,7 @@ from .backends import (
     SweepExecutor,
     resolve_backend,
 )
+from .backends.queue import run_worker
 from .cache import ArtifactCache, artifact_key, default_cache_dir
 from .cells import (
     CellDeadlineExceeded,
@@ -55,7 +56,7 @@ from .net import (
 from .pipeline import fsm_digest, resolve_fsm, run_flow
 from .results import FLOW_RESULT_SCHEMA, FlowResult, StageResult
 from .sweep import BaselineResult, Sweep, SweepResult
-from .worker import WorkerStats, run_worker
+from .worker import WorkerStats
 
 __all__ = [
     "ArtifactCache",

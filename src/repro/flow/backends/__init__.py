@@ -23,7 +23,8 @@ from typing import Optional, Union
 
 from .base import ExecutionReport, SweepExecutor
 from .pool import LocalPoolExecutor
-from .queue import QueueExecutor, RetryPolicy
+from ..ledger import RetryPolicy
+from .queue import QueueExecutor
 from .serial import SerialExecutor
 
 __all__ = [

@@ -38,6 +38,30 @@ class ExecutionReport:
     cells_requeued: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_summary(
+        cls, summary: Mapping[str, Any], backend: str, **extra: Any
+    ) -> "ExecutionReport":
+        """The report of a distributed run from its terminal ledger
+        summary (:meth:`repro.flow.ledger.CellLedger.summary`), plus the
+        backend's own ``extra`` metadata."""
+        counters = summary["counters"]
+        return cls(
+            outcomes=[dict(outcome) for outcome in summary["outcomes"]],
+            backend=backend,
+            workers=max(1, len(summary["workers_seen"])),
+            cells_requeued=int(counters["requeues"]),
+            extra=dict(
+                extra,
+                workers_seen=list(summary["workers_seen"]),
+                retries=int(counters["retries"]),
+                corrupt_results=int(counters["corrupt_results"]),
+                quarantined=list(summary["quarantined"]),
+                retry_policy=dict(summary["retry_policy"]),
+                cell_attempts=dict(summary["cell_attempts"]),
+            ),
+        )
+
 
 class SweepExecutor(abc.ABC):
     """Pluggable execution strategy for a batch of sweep cells."""

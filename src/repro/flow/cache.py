@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import chaos
+from .atomic import write_atomic
 
 __all__ = ["ArtifactCache", "artifact_key", "default_cache_dir"]
 
@@ -133,20 +133,9 @@ class ArtifactCache:
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         """Store ``payload`` under ``key`` (atomic replace); counts a write."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # One C-encoded string: json.dump would take the pure-Python
-                # iterencode path and write chunk by chunk.
-                handle.write(json.dumps(payload, separators=(",", ":")))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:  # repro: allow-swallowed-exception -- best-effort tmp cleanup while re-raising the original error
-                pass
-            raise
+        # One C-encoded string: json.dump would take the pure-Python
+        # iterencode path and write chunk by chunk.
+        write_atomic(path, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
         plan = chaos.active_plan()
         if plan is not None and plan.decide("corrupt-cache", key) is not None:
             # Chaos seam: corrupt the just-written artifact.  The recovery

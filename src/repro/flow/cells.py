@@ -290,16 +290,19 @@ def run_cell_safe(
     cache: Optional[ArtifactCache] = None,
     worker: Optional[str] = None,
     attempt: int = 1,
+    run: Optional[Callable[..., Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """:func:`run_cell`, but a failure becomes a structured error outcome.
+    """:func:`run_cell` (or ``run``), but a failure becomes a structured
+    error outcome.
 
-    The in-process backends (serial, pool) use this so a failing cell
-    degrades into the same ``{"error": {type, message, traceback}}``
-    outcome shape the queue workers produce — which is what lets
-    ``Sweep(strict=False)`` return a partial result on every backend.
+    Every backend runs its cells through this, so a failing cell degrades
+    into the same ``{"error": {type, message, traceback}}`` outcome shape
+    everywhere — which is what lets ``Sweep(strict=False)`` return a
+    partial result on every backend.
     """
     try:
-        return run_cell(task, fsm=fsm, cache=cache, worker=worker, attempt=attempt)
+        return (run or run_cell)(task, fsm=fsm, cache=cache, worker=worker,
+                                 attempt=attempt)
     except Exception as exc:  # noqa: BLE001 - degrade into a structured outcome
         return {
             "kind": task.get("kind"),

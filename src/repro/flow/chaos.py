@@ -48,12 +48,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
+
+from .atomic import write_atomic
 
 __all__ = [
     "CHAOS_SCHEMA",
@@ -80,7 +81,7 @@ FAULT_KINDS: Tuple[str, ...] = (
     "heartbeat-stall",   # worker.py: suppress lease heartbeats for `seconds`
     "stage-error",       # cells.py/pipeline.py: raise before a stage runs
     "stage-delay",       # cells.py/pipeline.py: sleep `seconds` before a stage
-    "corrupt-result",    # worker.py: write a torn result payload
+    "corrupt-result",    # worker.py: upload a torn result (its transport tears it)
     "corrupt-task",      # backends/queue.py: submit a torn task payload
     "corrupt-cache",     # cache.py: corrupt the artifact just written
     # Network kinds of the HTTP coordinator path (repro.flow.net).  All
@@ -240,19 +241,7 @@ class FaultPlan:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the plan as JSON (atomically, like every flow-layer file)."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_json())
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:  # repro: allow-swallowed-exception -- best-effort tmp cleanup while re-raising the original error
-                pass
-            raise
+        write_atomic(path, self.to_json().encode("utf-8"))
 
 
 # ------------------------------------------------------------- activation
@@ -316,18 +305,7 @@ def corrupt_file(path: Union[str, Path]) -> None:
     failing* payload, not a torn filesystem write, so concurrent readers
     still only ever see one of (old content, garbage).
     """
-    target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_CORRUPT_BYTES)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:  # repro: allow-swallowed-exception -- best-effort tmp cleanup while re-raising the original error
-            pass
-        raise
+    write_atomic(path, _CORRUPT_BYTES)
 
 
 def sleep_for(rule: FaultRule) -> None:

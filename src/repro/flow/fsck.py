@@ -44,12 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-from .backends.queue import (
-    QueuePaths,
-    queue_paths,
-    read_json,
-    verify_payload,
-)
+from .backends.queue import QueuePaths, queue_paths, read_json
+from .ledger import verify_payload
 
 __all__ = ["FSCK_SCHEMA", "FsckIssue", "FsckReport", "fsck_queue"]
 

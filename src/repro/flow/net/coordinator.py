@@ -6,7 +6,7 @@ service: clients submit batches of cells over HTTP, any number of
 and a content-addressed artifact cache is served to the whole fleet —
 no shared filesystem required (the limitation of the queue backend).
 
-The protocol is the queue backend's lease/retry loop lifted onto HTTP::
+The protocol — claims under leases, signed uploads, a shared cache::
 
     POST   /api/v1/runs            submit a batch of cells (idempotent by run id)
     GET    /api/v1/runs/<id>       poll a run; terminal polls carry the outcomes
@@ -21,15 +21,15 @@ The protocol is the queue backend's lease/retry loop lifted onto HTTP::
     GET    /api/v1/stats (alias /stats)   machine-readable counters
     POST   /api/v1/stop            fleet teardown: claims answer ``stop: true``
 
-Failure semantics are *identical* to the filesystem queue, by sharing its
-code: :class:`~repro.flow.backends.queue.RetryPolicy` backoff, the
-two-consecutive-identical-errors poison classifier, the runaway hard cap
-on infra requeues, sha256-signed payloads (corrupt = drop + count +
-resubmit, never a crash or hang), and lease expiry/requeue on worker
-death.  A sweep through this coordinator is bit-identical to the serial
-backend at any worker count — outcomes are reassembled in submission
-order, and cells funnel through the same
-:func:`~repro.flow.cells.run_cell` as every other backend.
+Each run keeps its cells in a :class:`~repro.flow.ledger.CellLedger`,
+which decides retry backoff, poison quarantine, corrupt-result backoff
+and the runaway cap; the coordinator adds only in-memory leases (expiry
+requeues the cell) and HTTP.  Payloads are sha256-signed, so a corrupt
+upload is dropped and counted, never a crash or hang.  A sweep through
+this coordinator is bit-identical to the serial backend at any worker
+count — outcomes are reassembled in submission order, and cells funnel
+through the same :func:`~repro.flow.cells.run_cell` as every other
+backend.
 
 The server is a deliberately small stdlib-only HTTP/1.1 implementation
 over ``asyncio.start_server``: requests are JSON round trips of a few KB,
@@ -52,19 +52,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 from .. import chaos
-from ..backends.queue import RetryPolicy, _same_error, verify_payload
 from ..cache import ArtifactCache
+from ..ledger import STATES, CellLedger, LedgerCell, RetryPolicy, verify_payload
 from .protocol import NET_SCHEMA, TRY_HEADER, signed_body, site_label
 
 __all__ = ["Coordinator", "CoordinatorHandle", "run_coordinator"]
-
-#: Runaway guard, matching ``QueueExecutor``: a cell is force-quarantined
-#: after ``max_attempts * factor`` total submissions, whatever the retry
-#: policy says, so an adversarial always-corrupt fault cannot loop forever.
-_HARD_CAP_FACTOR = 4
 
 #: Shape of an artifact key (a sha256 hex digest, see
 #: :func:`~repro.flow.cache.artifact_key`); anything else never reaches
@@ -82,44 +77,14 @@ _REASONS = {
 
 
 @dataclass
-class _NetCell:
-    """Coordinator-side state of one submitted cell."""
-
-    task: Dict[str, Any]
-    attempt: int = 1
-    status: str = "pending"  # pending | claimed | backoff | done | failed
-    errors: List[Dict[str, Any]] = field(default_factory=list)
-    claimed_by: Optional[str] = None
-    lease_expires: float = 0.0
-    resubmit_at: float = 0.0
-    outcome: Optional[Dict[str, Any]] = None
-
-
-@dataclass
 class _Run:
-    """One submitted batch: ordered cells plus its retry policy."""
+    """One submitted batch: its ledger plus the leases of its claimed cells."""
 
     run_id: str
-    ids: List[str]
-    cells: Dict[str, _NetCell]
-    retry: RetryPolicy
+    ledger: CellLedger
     lease_timeout: float
-    counters: Dict[str, int] = field(
-        default_factory=lambda: {"requeues": 0, "retries": 0, "corrupt_results": 0}
-    )
-    workers_seen: List[str] = field(default_factory=list)
-
-    @property
-    def hard_cap(self) -> int:
-        return self.retry.max_attempts * _HARD_CAP_FACTOR
-
-    @property
-    def terminal(self) -> bool:
-        return all(c.status in ("done", "failed") for c in self.cells.values())
-
-    def saw_worker(self, worker: Optional[str]) -> None:
-        if worker and worker not in self.workers_seen:
-            self.workers_seen.append(worker)
+    #: ``cell id -> (worker, lease expiry)`` of every claimed cell.
+    leases: Dict[str, Tuple[str, float]] = field(default_factory=dict)
 
 
 class Coordinator:
@@ -168,7 +133,8 @@ class Coordinator:
         self._clock = clock
         self._emit = log or (lambda line: None)
         self._runs: Dict[str, _Run] = {}
-        self._cell_index: Dict[str, Tuple[str, str]] = {}
+        #: ``cell id -> run id`` of every cell of every active run.
+        self._cell_index: Dict[str, str] = {}
         self._workers: Dict[str, float] = {}
         self._stopping = False
         self._started = self._clock()
@@ -200,57 +166,19 @@ class Coordinator:
         """Expire stale leases and serve elapsed backoffs (the sweeper's beat)."""
         now = self._clock()
         for run in self._runs.values():
-            for cid in run.ids:
-                cell = run.cells[cid]
-                if cell.status == "claimed" and now > cell.lease_expires:
-                    run.counters["requeues"] += 1
-                    self._totals["requeues"] += 1
-                    self._emit(f"lease expired for {cid} "
-                               f"(worker {cell.claimed_by}); requeueing")
-                    self._resubmit(run, cid, cell)
-                elif cell.status == "backoff" and now >= cell.resubmit_at:
-                    self._resubmit(run, cid, cell)
+            expired = [cid for cid, (_, expires) in run.leases.items() if now > expires]
+            for cid in expired:
+                worker, _ = run.leases.pop(cid)
+                self._totals["requeues"] += 1
+                self._emit(f"lease expired for {cid} (worker {worker}); requeueing")
+                run.ledger.requeue(cid)
+            run.ledger.serve_backoffs(now)
 
-    def _resubmit(self, run: _Run, cid: str, cell: _NetCell) -> None:
-        """Bump the attempt and repend — or quarantine past the hard cap."""
-        cell.claimed_by = None
-        cell.attempt += 1
-        if cell.attempt > run.hard_cap:
-            self._quarantine(run, cid, cell, reason="runaway")
-            return
-        cell.status = "pending"
-
-    def _quarantine(self, run: _Run, cid: str, cell: _NetCell, reason: str) -> None:
-        """Mark a poison cell failed, with the queue backend's outcome shape."""
-        cell.status = "failed"
+    def _quarantined(self, run_id: str, cid: str, cell: LedgerCell, reason: str) -> str:
+        """A run ledger's quarantine hook: count it, log it, name its place."""
         self._totals["cells_failed"] += 1
-        last = cell.errors[-1] if cell.errors else {
-            "type": "QueueRunawayError",
-            "message": f"cell resubmitted {cell.attempt} times without a "
-                       f"successful or failing execution",
-            "traceback": None,
-        }
-        cell.outcome = {
-            "kind": cell.task.get("kind"),
-            "cell": cid,
-            "result": None,
-            "worker": last.get("worker"),
-            "cache_stats": None,
-            "error": {key: last.get(key) for key in ("type", "message", "traceback")},
-            "error_attempts": list(cell.errors),
-            "attempts": cell.attempt,
-            "quarantined": f"coordinator:{run.run_id}/{cid}",
-            "quarantine_reason": reason,
-        }
         self._emit(f"quarantined {cid} ({reason}) after {cell.attempt} attempt(s)")
-
-    def _corrupt_result(self, run: _Run, cid: str, cell: _NetCell) -> None:
-        """A corrupt upload: drop it and resubmit with backoff (queue parity)."""
-        run.counters["corrupt_results"] += 1
-        self._totals["corrupt_results"] += 1
-        cell.claimed_by = None
-        cell.status = "backoff"
-        cell.resubmit_at = self._clock() + run.retry.delay_for(cell.attempt)
+        return f"coordinator:{run_id}/{cid}"
 
     # ------------------------------------------------------------- handlers
     def _handle_submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
@@ -263,86 +191,51 @@ class Coordinator:
             return 400, {"error": "submission needs a run id and a task list"}
         if run_id in self._runs:
             # Idempotent resubmission (a dropped response, a client retry).
-            return 200, {"run": run_id, "cells": len(self._runs[run_id].ids)}
-        retry = RetryPolicy.from_dict(body.get("retry") or {})
-        lease = float(body.get("lease_timeout", self.lease_timeout))
-        ids: List[str] = []
-        cells: Dict[str, _NetCell] = {}
+            return 200, {"run": run_id, "cells": len(self._runs[run_id].ledger.ids)}
+        submitted: Dict[str, Dict[str, Any]] = {}
         for index, task in enumerate(tasks):
             if not isinstance(task, dict):
                 return 400, {"error": f"task {index} is not an object"}
             cid = f"{run_id}-{task.get('cell', f'{index:05d}')}"
-            if cid in self._cell_index or cid in cells:
+            if cid in self._cell_index or cid in submitted:
                 return 400, {"error": f"duplicate cell id {cid}"}
-            ids.append(cid)
-            cells[cid] = _NetCell(task=dict(task))
-        run = _Run(run_id=run_id, ids=ids, cells=cells, retry=retry,
-                   lease_timeout=lease)
-        self._runs[run_id] = run
-        for cid in ids:
-            self._cell_index[cid] = (run_id, cid)
+            submitted[cid] = task
+        ledger = CellLedger(
+            RetryPolicy.from_dict(body.get("retry") or {}),
+            on_quarantine=lambda cid, cell, reason: self._quarantined(
+                run_id, cid, cell, reason),
+        )
+        for cid, task in submitted.items():
+            ledger.add(cid, task)
+            self._cell_index[cid] = run_id
+        self._runs[run_id] = _Run(
+            run_id=run_id, ledger=ledger,
+            lease_timeout=float(body.get("lease_timeout", self.lease_timeout)),
+        )
         self._totals["runs_submitted"] += 1
-        self._totals["cells_submitted"] += len(ids)
-        self._emit(f"run {run_id}: {len(ids)} cell(s) submitted")
-        return 200, {"run": run_id, "cells": len(ids)}
+        self._totals["cells_submitted"] += len(submitted)
+        self._emit(f"run {run_id}: {len(submitted)} cell(s) submitted")
+        return 200, {"run": run_id, "cells": len(submitted)}
 
     def _handle_run_status(self, run_id: str) -> Tuple[int, Dict[str, Any]]:
         run = self._runs.get(run_id)
         if run is None:
             return 404, {"error": f"unknown run {run_id!r}"}
-        states = {"pending": 0, "claimed": 0, "backoff": 0, "done": 0, "failed": 0}
-        for cell in run.cells.values():
-            states[cell.status] += 1
-        payload: Dict[str, Any] = {
-            "schema": NET_SCHEMA,
-            "run": run_id,
-            "cells": states,
-            "total": len(run.ids),
-            "counters": dict(run.counters),
-            "workers_seen": sorted(run.workers_seen),
-            "retry_policy": run.retry.to_dict(),
-        }
-        if run.terminal:
-            payload["status"] = (
-                "partial" if states["failed"] else "complete"
-            )
-            payload["outcomes"] = [run.cells[cid].outcome for cid in run.ids]
-            payload["cell_attempts"] = {
-                cid: run.cells[cid].attempt for cid in run.ids
-            }
-            payload["quarantined"] = sorted(
-                cid for cid in run.ids if run.cells[cid].status == "failed"
-            )
-        else:
-            payload["status"] = "running"
-            payload["pending_detail"] = self._pending_detail(run)
-        return 200, payload
-
-    def _pending_detail(self, run: _Run) -> List[Dict[str, Any]]:
-        """Diagnosable per-cell state for timeout messages (queue parity)."""
         now = self._clock()
-        detail: List[Dict[str, Any]] = []
-        for cid in run.ids:
-            cell = run.cells[cid]
-            if cell.status in ("done", "failed"):
-                continue
-            entry: Dict[str, Any] = {"cell": cid, "attempt": cell.attempt,
-                                     "state": cell.status}
-            if cell.status == "claimed":
-                entry["worker"] = cell.claimed_by
-                entry["lease_age"] = round(
-                    now - (cell.lease_expires - run.lease_timeout), 3
-                )
-            elif cell.status == "backoff":
-                entry["due_in"] = round(max(0.0, cell.resubmit_at - now), 3)
-            detail.append(entry)
-        return detail
+        payload: Dict[str, Any] = {"schema": NET_SCHEMA, "run": run_id}
+        payload.update(run.ledger.summary(now))
+        for entry in payload.get("pending_detail", ()):
+            lease = run.leases.get(entry["cell"])
+            if lease is not None:
+                entry["worker"] = lease[0]
+                entry["lease_age"] = round(now - (lease[1] - run.lease_timeout), 3)
+        return 200, payload
 
     def _handle_run_delete(self, run_id: str) -> Tuple[int, Dict[str, Any]]:
         run = self._runs.pop(run_id, None)
         if run is None:
             return 404, {"error": f"unknown run {run_id!r}"}
-        for cid in run.ids:
+        for cid in run.ledger.ids:
             self._cell_index.pop(cid, None)
         self._totals["runs_completed"] += 1
         return 200, {"run": run_id, "deleted": True}
@@ -355,88 +248,66 @@ class Coordinator:
         if self._stopping:
             return 200, {"cell": None, "stop": True}
         for run in self._runs.values():
-            for cid in run.ids:
-                cell = run.cells[cid]
-                if cell.status != "pending":
-                    continue
-                cell.status = "claimed"
-                cell.claimed_by = worker
-                cell.lease_expires = self._clock() + run.lease_timeout
-                run.saw_worker(worker)
-                return 200, {
-                    "cell": cid,
-                    "task": cell.task,
-                    "attempt": cell.attempt,
-                    "lease_timeout": run.lease_timeout,
-                    "max_attempts": run.retry.max_attempts,
-                    "stop": False,
-                }
+            cid = run.ledger.claim(worker)
+            if cid is None:
+                continue
+            run.leases[cid] = (worker, self._clock() + run.lease_timeout)
+            return 200, {
+                "cell": cid,
+                "task": run.ledger.cells[cid].task,
+                "attempt": run.ledger.cells[cid].attempt,
+                "lease_timeout": run.lease_timeout,
+                "max_attempts": run.ledger.retry.max_attempts,
+                "stop": False,
+            }
         return 200, {"cell": None, "stop": False}
 
     def _handle_heartbeat(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         worker = str(body.get("worker", ""))
         cid = str(body.get("cell", ""))
         self._workers[worker] = self._clock()
-        located = self._cell_index.get(cid)
-        if located is None:
+        run_id = self._cell_index.get(cid)
+        if run_id is None:
             return 200, {"ok": False, "reason": "unknown-cell"}
-        run = self._runs[located[0]]
-        cell = run.cells[cid]
-        if cell.status != "claimed" or cell.claimed_by != worker:
+        run = self._runs[run_id]
+        lease = run.leases.get(cid)
+        if lease is None or lease[0] != worker:
             # The lease was expired and the cell requeued (maybe even
             # reclaimed): the worker must abandon its execution's upload.
             return 200, {"ok": False, "reason": "lease-lost"}
-        cell.lease_expires = self._clock() + run.lease_timeout
+        run.leases[cid] = (worker, self._clock() + run.lease_timeout)
         return 200, {"ok": True}
 
     def _handle_result(
         self, cid: str, body: Optional[Dict[str, Any]]
     ) -> Tuple[int, Dict[str, Any]]:
-        located = self._cell_index.get(cid)
-        if located is None:
+        run_id = self._cell_index.get(cid)
+        if run_id is None:
             return 200, {"accepted": False, "reason": "unknown-cell"}
-        run = self._runs[located[0]]
-        cell = run.cells[cid]
+        run = self._runs[run_id]
         if body is None or "outcome" not in body or not isinstance(body["outcome"], dict):
             # Corrupt upload (torn body, chaos, integrity failure): the
             # cell id travels in the query string precisely so this
             # recovery can fire without a parseable body.
-            if cell.status == "claimed":
-                self._corrupt_result(run, cid, cell)
+            if run.leases.pop(cid, None) is not None:
+                self._totals["corrupt_results"] += 1
+                run.ledger.corrupt_result(cid, self._clock())
             return 400, {"error": "corrupt result payload", "accepted": False}
         worker = str(body.get("worker", ""))
-        if cell.status != "claimed" or cell.claimed_by != worker:
+        lease = run.leases.get(cid)
+        if lease is None or lease[0] != worker:
             # A stale duplicate (lease expired mid-cell).  Results are
             # bit-identical by construction, but the authoritative copy is
-            # the re-execution's — mirror the queue's abandonment.
+            # the re-execution's.
             return 200, {"accepted": False, "reason": "stale-lease"}
+        del run.leases[cid]
         outcome = dict(body["outcome"])
-        run.saw_worker(worker or outcome.get("worker"))
-        error = outcome.get("error")
-        if not error:
-            cell.status = "done"
-            cell.outcome = outcome
+        status = run.ledger.record(cid, outcome, worker or outcome.get("worker"),
+                                   self._clock())
+        if status == "done":
             self._totals["cells_completed"] += 1
-            return 200, {"accepted": True}
-        record = dict(error)
-        record["attempt"] = cell.attempt
-        record["worker"] = worker or outcome.get("worker")
-        cell.errors.append(record)
-        deterministic = len(cell.errors) >= 2 and _same_error(
-            cell.errors[-1], cell.errors[-2]
-        )
-        exhausted = len(cell.errors) >= run.retry.max_attempts
-        if deterministic or exhausted:
-            self._quarantine(
-                run, cid, cell,
-                reason="deterministic" if deterministic else "exhausted",
-            )
-        else:
-            run.counters["retries"] += 1
+        elif status == "backoff":
             self._totals["retries"] += 1
-            cell.claimed_by = None
-            cell.status = "backoff"
-            cell.resubmit_at = self._clock() + run.retry.delay_for(cell.attempt)
         return 200, {"accepted": True}
 
     def _handle_register(
@@ -488,9 +359,9 @@ class Coordinator:
 
     def _handle_stats(self) -> Tuple[int, Dict[str, Any]]:
         now = self._clock()
-        states = {"pending": 0, "claimed": 0, "backoff": 0, "done": 0, "failed": 0}
+        states = dict.fromkeys(STATES, 0)
         for run in self._runs.values():
-            for cell in run.cells.values():
+            for cell in run.ledger.cells.values():
                 states[cell.status] += 1
         cache_block: Optional[Dict[str, Any]] = None
         if self.cache is not None:
@@ -744,15 +615,10 @@ class CoordinatorHandle:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         await self.coordinator.start()
-        sweeper = asyncio.ensure_future(self.coordinator._sweep_loop())
         self._ready.set()
-        assert self.coordinator._server is not None
-        try:
-            async with self.coordinator._server:
-                await self._stop.wait()
-                await self.coordinator.shutdown()
-        finally:
-            await _cancelled(sweeper)
+        serving = asyncio.ensure_future(self.coordinator.serve_forever())
+        await self._stop.wait()
+        await _cancelled(serving)
 
     def start(self) -> "CoordinatorHandle":
         self._thread.start()

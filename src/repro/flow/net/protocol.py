@@ -1,11 +1,10 @@
 """Wire protocol of the HTTP coordinator path (schema ``repro.net/1``).
 
-Both sides of every exchange speak JSON envelopes carrying the same
-``sha256`` integrity signature the filesystem queue already uses
-(:func:`repro.flow.backends.queue.sign_payload`): a payload corrupted in
-transit — torn proxy buffer, injected chaos, bad NIC — is *detected*, not
-trusted, and the drop/resubmit recovery of the queue backend applies
-unchanged.
+Both sides of every exchange speak JSON envelopes carrying the
+``sha256`` integrity signature of :func:`repro.flow.ledger.sign_payload`:
+a payload corrupted in transit — torn proxy buffer, injected chaos, bad
+NIC — is *detected*, not trusted, and the run's ledger recovers the cell
+(a corrupt result backs off and is resubmitted).
 
 The client transport (:func:`request`, :func:`request_with_retry`) is
 stdlib-only (``http.client``).  It keeps one persistent HTTP/1.1
@@ -38,7 +37,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .. import chaos
-from ..backends.queue import canonical_json, verify_payload
+from ..ledger import canonical_json, verify_payload
 
 __all__ = [
     "NET_SCHEMA",

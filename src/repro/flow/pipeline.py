@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bist.excitation import ExcitationTable, derive_excitation
-from ..bist.structures import BISTStructure, structure_profile
+from ..bist.structures import structure_profile
 from ..bist.synthesis import (
     SynthesizedController,
     assign_states,

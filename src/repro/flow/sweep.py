@@ -42,7 +42,7 @@ from ..fsm.kiss import write_kiss
 from ..fsm.machine import FSM
 from .backends import RetryPolicy, SweepExecutor, resolve_backend
 from .cache import ArtifactCache, artifact_key
-from .cells import BaselineResult, cell_id, run_cell
+from .cells import BaselineResult, cell_id
 from .config import FlowConfig
 from .pipeline import FSMSource, fsm_digest, resolve_fsm
 from .results import FlowResult, jsonable
@@ -270,41 +270,29 @@ class Sweep:
         # remote tier (workers substitute their own local directory).
         cache_url = getattr(self.cache, "url", None)
         for fsm in self.fsms:
-            kiss = write_kiss(fsm)
-            states = list(fsm.states)
+            common: Dict[str, Any] = {
+                "name": fsm.name,
+                "kiss": write_kiss(fsm),
+                "states": list(fsm.states),
+                "cache_dir": cache_dir,
+            }
+            if cache_url is not None:
+                common["cache_url"] = str(cache_url)
+            if self.cell_deadline is not None:
+                common["deadline_seconds"] = float(self.cell_deadline)
             if self.random_trials is not None:
                 baseline_config = self.config.replace(structure="PST", seed=self.seeds[0])
-                baseline_task: Dict[str, Any] = {
-                    "kind": "baseline",
-                    "name": fsm.name,
-                    "kiss": kiss,
-                    "states": states,
-                    "config": baseline_config.to_dict(),
-                    "cache_dir": cache_dir,
-                    "trials": self.random_trials,
-                    "random_seed": self.random_seed,
-                }
-                if cache_url is not None:
-                    baseline_task["cache_url"] = str(cache_url)
-                if self.cell_deadline is not None:
-                    baseline_task["deadline_seconds"] = float(self.cell_deadline)
-                tasks.append(baseline_task)
+                tasks.append(dict(
+                    common,
+                    kind="baseline",
+                    config=baseline_config.to_dict(),
+                    trials=self.random_trials,
+                    random_seed=self.random_seed,
+                ))
             for seed in self.seeds:
                 for structure in self.structures:
                     cell_config = self.config.replace(structure=structure, seed=seed)
-                    flow_task: Dict[str, Any] = {
-                        "kind": "flow",
-                        "name": fsm.name,
-                        "kiss": kiss,
-                        "states": states,
-                        "config": cell_config.to_dict(),
-                        "cache_dir": cache_dir,
-                    }
-                    if cache_url is not None:
-                        flow_task["cache_url"] = str(cache_url)
-                    if self.cell_deadline is not None:
-                        flow_task["deadline_seconds"] = float(self.cell_deadline)
-                    tasks.append(flow_task)
+                    tasks.append(dict(common, kind="flow", config=cell_config.to_dict()))
         for index, task in enumerate(tasks):
             task["cell"] = cell_id(index, task)
         return tasks
@@ -452,8 +440,3 @@ def _render_cell_error(error: Any) -> str:
         trace = error.get("traceback")
         return f"{headline}\n{trace}" if trace else headline
     return str(error)
-
-
-def _sweep_worker(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Back-compat process-pool entry point (see :func:`repro.flow.cells.run_cell`)."""
-    return run_cell(task)

@@ -20,7 +20,7 @@ results are reproducible run to run.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .machine import FSM, FSMError, Transition
 

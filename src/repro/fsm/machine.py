@@ -14,7 +14,7 @@ derivation, logic minimisation and the gate-level self-test simulation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [

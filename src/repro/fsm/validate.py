@@ -10,7 +10,7 @@ produces the size metrics used throughout the experiment reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .machine import FSM, cubes_intersect
 

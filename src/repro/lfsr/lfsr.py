@@ -19,7 +19,7 @@ the code strings produced by the state-assignment algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .polynomial import (
     default_primitive_polynomial,

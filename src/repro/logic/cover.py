@@ -42,7 +42,7 @@ uses it up to :data:`BITSET_MAX_INPUTS` inputs (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 

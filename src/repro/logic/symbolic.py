@@ -19,9 +19,9 @@ incompatibilities column by column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..fsm.machine import FSM, Transition, cubes_intersect
+from ..fsm.machine import FSM, Transition
 
 __all__ = ["SymbolicImplicant", "symbolic_minimize", "symbolic_implicant_count"]
 

@@ -12,7 +12,7 @@ needed to express such rows and convert them into ON-set / don't-care-set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .cover import Cover
 from .cube import Cube

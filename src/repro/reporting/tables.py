@@ -13,7 +13,7 @@ same JSON schema they emit — there is no second, bespoke tuple shape.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",

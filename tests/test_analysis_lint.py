@@ -96,6 +96,7 @@ class TestFramework:
             "atomic-write",
             "unordered-iteration",
             "swallowed-exception",
+            "unused-import",
         }
 
 
@@ -512,6 +513,49 @@ class TestSwallowedExceptionRule:
         )
         assert not findings_for(text, "swallowed-exception",
                                 module=OUTSIDE_MODULE)
+
+
+# ------------------------------------------------------ R7 unused imports
+
+
+class TestUnusedImportRule:
+    def test_unused_import_flagged(self):
+        text = (
+            "import json\n"
+            "from typing import Dict, Iterable\n"
+            "def load(text) -> Dict[str, int]:\n"
+            "    return json.loads(text)\n"
+        )
+        found = findings_for(text, "unused-import", module=OUTSIDE_MODULE)
+        assert [f.message for f in found] == ["'Iterable' is imported but unused"]
+        assert found[0].line == 2
+
+    def test_reads_through_attributes_aliases_and_string_annotations(self):
+        text = (
+            "import os.path\n"
+            "import numpy as np\n"
+            "from typing import List\n"
+            "from .stats import WorkerStats\n"
+            "def join(parts: 'List[str]') -> \"WorkerStats\":\n"
+            "    return os.path.join(*parts), np\n"
+        )
+        assert not findings_for(text, "unused-import", module=OUTSIDE_MODULE)
+
+    def test_re_exports_are_not_flagged(self):
+        listed = (
+            "from .queue import QueueExecutor, RetryPolicy\n"
+            "__all__ = ['QueueExecutor', 'RetryPolicy']\n"
+        )
+        assert not findings_for(listed, "unused-import", module=OUTSIDE_MODULE)
+        package = "from .queue import QueueExecutor\n"
+        report = lint_source(package, path="src/repro/flow/backends/__init__.py")
+        assert not [f for f in report.findings if f.rule == "unused-import"]
+        future = "from __future__ import annotations\n"
+        assert not findings_for(future, "unused-import", module=OUTSIDE_MODULE)
+
+    def test_pragma_suppressed(self):
+        text = "import readline  # repro: allow-unused-import -- side effect\n"
+        assert not findings_for(text, "unused-import", module=OUTSIDE_MODULE)
 
 
 class TestTreeGate:

@@ -28,7 +28,6 @@ from repro.flow import (
     run_worker,
 )
 from repro.flow.backends.queue import (
-    _CellState,
     ensure_queue_dirs,
     read_json,
     write_json_atomic,
@@ -223,7 +222,7 @@ class TestLeaseExpiry:
         past = time.time() - 60
         os.utime(stolen, (past, past))
 
-        thread = start_worker_thread(queue_dir, "alive", lease_timeout=0.5)
+        thread = start_worker_thread(queue_dir, "alive")
         orchestrator.join(timeout=120)
         (queue_dir / "stop").touch()
         thread.join(timeout=30)
@@ -271,42 +270,46 @@ class TestLeaseExpiry:
 
 
 class TestInjectableClock:
+    @staticmethod
+    def _claimed_cell(queue_dir, fake, lease_timeout):
+        """An executor, its ledger and one submitted cell a worker claimed
+        at ``fake["now"]``."""
+        paths = ensure_queue_dirs(queue_dir)
+        executor = QueueExecutor(queue_dir, lease_timeout=lease_timeout,
+                                 clock=lambda: fake["now"])
+        ledger = executor._ledger(paths)
+        cid = "00000-cell"
+        ledger.add(cid, {"cell": cid})
+        claim = paths.claims / f"{cid}.json"
+        os.replace(paths.tasks / f"{cid}.json", claim)
+        os.utime(claim, (fake["now"], fake["now"]))
+        return executor, paths, ledger, cid, claim
+
     def test_lease_expiry_without_sleeping(self, tmp_path):
         """With the clock seam, lease expiry is testable by advancing a
         fake clock — no sleeps, no backdated mtimes on a live sweep."""
-        queue_dir = tmp_path / "queue"
-        paths = ensure_queue_dirs(queue_dir)
         fake = {"now": 1_000_000.0}
-        executor = QueueExecutor(queue_dir, lease_timeout=30.0,
-                                 clock=lambda: fake["now"])
-        cid = "00000-cell"
-        claim = paths.claims / f"{cid}.json"
-        write_json_atomic(claim, {"cell": cid, "task": {}, "lease_timeout": 30.0})
-        os.utime(claim, (fake["now"], fake["now"]))
-
-        states = {cid: _CellState(task={"cell": cid})}
-        assert executor._expire_stale_leases(paths, [cid], states, {}) == 0
+        executor, paths, ledger, cid, claim = self._claimed_cell(
+            tmp_path / "queue", fake, lease_timeout=30.0)
+        executor._requeue_dead_cells(paths, ledger)
         fake["now"] += 29.0  # inside the lease window
-        assert executor._expire_stale_leases(paths, [cid], states, {}) == 0
+        executor._requeue_dead_cells(paths, ledger)
+        assert ledger.counters["requeues"] == 0
         fake["now"] += 2.0  # 31 s past the claim stamp: stale
-        assert executor._expire_stale_leases(paths, [cid], states, {}) == 1
+        executor._requeue_dead_cells(paths, ledger)
+        assert ledger.counters["requeues"] == 1
         assert (paths.tasks / f"{cid}.json").exists()
         assert not claim.exists()
-        assert states[cid].attempt == 2  # the requeue consumed an attempt
+        assert ledger.cells[cid].attempt == 2  # the requeue consumed an attempt
 
     def test_finished_cells_are_never_requeued(self, tmp_path):
-        queue_dir = tmp_path / "queue"
-        paths = ensure_queue_dirs(queue_dir)
         fake = {"now": 1_000_000.0}
-        executor = QueueExecutor(queue_dir, lease_timeout=1.0,
-                                 clock=lambda: fake["now"])
-        cid = "00000-cell"
-        claim = paths.claims / f"{cid}.json"
-        write_json_atomic(claim, {"cell": cid, "task": {}, "lease_timeout": 1.0})
-        os.utime(claim, (fake["now"] - 100, fake["now"] - 100))
-        done = _CellState(task={"cell": cid})
-        done.done = True
-        assert executor._expire_stale_leases(paths, [cid], {cid: done}, {}) == 0
+        executor, paths, ledger, cid, claim = self._claimed_cell(
+            tmp_path / "queue", fake, lease_timeout=1.0)
+        ledger.record(cid, {"kind": "flow", "result": {}}, "w0", fake["now"])
+        fake["now"] += 100.0
+        executor._requeue_dead_cells(paths, ledger)
+        assert ledger.counters["requeues"] == 0
         assert claim.exists()
 
     def test_default_clock_is_wall_clock(self, tmp_path):
@@ -328,7 +331,7 @@ class TestStructuredWorkerErrors:
         write_json_atomic(paths.tasks / f"{cid}.json",
                           {"cell": cid, "task": task, "lease_timeout": 5.0})
 
-        stats = run_worker(queue_dir, worker_id="w-err", once=True)
+        stats = run_worker(queue_dir, worker_id="w-err", drain=True)
         assert stats.cells == 1
         assert stats.failures == 1
 
@@ -452,7 +455,7 @@ class TestQueueHygiene:
 
 class TestWorkerDaemon:
     def test_once_on_empty_queue_drains_immediately(self, tmp_path):
-        stats = run_worker(tmp_path / "queue", once=True, worker_id="w0")
+        stats = run_worker(tmp_path / "queue", drain=True, worker_id="w0")
         assert stats.cells == 0
         assert stats.stopped_by == "drained"
 
@@ -466,7 +469,7 @@ class TestWorkerDaemon:
     def test_worker_registration_is_cleaned_up(self, tmp_path):
         queue_dir = tmp_path / "queue"
         paths = ensure_queue_dirs(queue_dir)
-        run_worker(queue_dir, once=True, worker_id="w0")
+        run_worker(queue_dir, drain=True, worker_id="w0")
         assert not (paths.workers / "w0.json").exists()
 
     def test_worker_cache_dir_override(self, tmp_path):
@@ -478,7 +481,7 @@ class TestWorkerDaemon:
         from repro.flow.backends.queue import write_json_atomic
 
         write_json_atomic(paths.tasks / "c0.json", {"cell": "c0", "task": task})
-        stats = run_worker(queue_dir, once=True, worker_id="w0",
+        stats = run_worker(queue_dir, drain=True, worker_id="w0",
                            cache_dir=local_cache)
         assert stats.cells == 1
         assert len(ArtifactCache(local_cache)) > 0

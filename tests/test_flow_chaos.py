@@ -34,14 +34,13 @@ from repro.flow import (
     run_worker,
     set_active_plan,
 )
-from repro.flow.backends.queue import (
+from repro.flow.backends.queue import ensure_queue_dirs, write_json_atomic
+from repro.flow.ledger import (
+    HARD_CAP_FACTOR,
     RetryPolicy,
-    _CellState,
-    ensure_queue_dirs,
     payload_digest,
     sign_payload,
     verify_payload,
-    write_json_atomic,
 )
 from repro.flow.chaos import CHAOS_SCHEMA, cell_label
 
@@ -224,7 +223,7 @@ class TestChaosRecovery:
             FaultRule(kind="heartbeat-stall", match="baseline:ex4:PST:0",
                       attempts=(1,), seconds=3.0),
         )))
-        threads = [start_worker_thread(queue_dir, f"w{i}", lease_timeout=1.0)
+        threads = [start_worker_thread(queue_dir, f"w{i}")
                    for i in range(2)]
         result = Sweep(
             NAMES, structures=("PST",), random_trials=2,
@@ -263,7 +262,7 @@ class TestChaosRecovery:
             subprocess.Popen(
                 [sys.executable, "-m", "repro", "worker", str(queue_dir),
                  "--worker-id", f"sub{i}", "--poll-interval", "0.02",
-                 "--lease-timeout", "1.0", "--max-idle", "60", "--quiet"],
+                 "--max-idle", "60", "--quiet"],
                 env=env,
             )
             for i in range(2)
@@ -297,8 +296,7 @@ class TestChaosRecovery:
                       stage="minimize", attempts=(1,), seconds=3.0),
         )))
         stats_box: dict = {}
-        thread = start_worker_thread(queue_dir, "w0", box=stats_box,
-                                     lease_timeout=0.4)
+        thread = start_worker_thread(queue_dir, "w0", box=stats_box)
         result = Sweep(
             ["dk512"], structures=("PST",), random_trials=2,
             backend=QueueExecutor(queue_dir, lease_timeout=0.4,
@@ -448,80 +446,72 @@ class TestRunawayHardCap:
     leases and lost cells alike — and records a structured outcome so a
     partial result comes back instead of a crash."""
 
-    def _executor(self, queue_dir, fake):
-        return QueueExecutor(
+    def _ledger(self, queue_dir, fake, max_attempts=1, backoff_base=0.0):
+        """An executor's ledger holding one submitted cell."""
+        paths = ensure_queue_dirs(queue_dir)
+        executor = QueueExecutor(
             queue_dir, lease_timeout=30.0,
-            retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=max_attempts, backoff_base=backoff_base),
             clock=lambda: fake["now"],
         )
+        ledger = executor._ledger(paths)
+        cid = "run0-cell"
+        ledger.add(cid, {"kind": "flow", "cell": cid})
+        return executor, paths, ledger, cid
 
     def test_backoff_cell_past_cap_quarantines_into_outcomes(self, tmp_path):
-        """Regression: the runaway quarantine must write the real outcomes
-        dict — a throwaway dict left ``outcomes[cid]`` missing and the
-        merge crashed with KeyError instead of degrading."""
-        queue_dir = tmp_path / "queue"
-        paths = ensure_queue_dirs(queue_dir)
+        """Regression: the runaway quarantine must record the cell's
+        outcome — a missing outcome crashed the merge with KeyError
+        instead of degrading."""
         fake = {"now": 1_000_000.0}
-        executor = self._executor(queue_dir, fake)
-        cid = "run0-cell"
-        state = _CellState(task={"kind": "flow", "cell": cid})
-        state.attempt = executor._hard_cap  # the next resubmit breaches it
-        state.resubmit_at = fake["now"]
-        outcomes: dict = {}
-        executor._serve_backoffs(paths, [cid], {cid: state}, outcomes)
-        assert state.failed
-        assert outcomes[cid]["quarantine_reason"] == "runaway"
-        assert outcomes[cid]["error"]["type"] == "QueueRunawayError"
-        assert outcomes[cid]["attempts"] == executor._hard_cap + 1
+        _, paths, ledger, cid = self._ledger(tmp_path / "queue", fake)
+        cell = ledger.cells[cid]
+        cell.attempt = ledger.hard_cap  # the next resubmit breaches it
+        cell.status, cell.resubmit_at = "backoff", fake["now"]
+        ledger.serve_backoffs(fake["now"])
+        assert cell.status == "failed"
+        assert cell.outcome["quarantine_reason"] == "runaway"
+        assert cell.outcome["error"]["type"] == "QueueRunawayError"
+        assert cell.outcome["attempts"] == ledger.hard_cap + 1
         quarantine = paths.failed / f"{cid}.json"
-        assert quarantine.exists()
+        assert cell.outcome["quarantined"] == str(quarantine)
         assert json.loads(quarantine.read_text())["reason"] == "runaway"
+        assert not (paths.tasks / f"{cid}.json").exists()
 
     def test_lost_cell_requeue_respects_hard_cap(self, tmp_path):
-        """Regression: infra requeues (lost cells, stale leases) never set
-        ``resubmit_at``, so a cap checked only in the backoff server let a
+        """Regression: infra requeues (lost cells, stale leases) never
+        back off, so a cap checked only in the backoff server let a
         corrupt-every-attempt fault cycle submit→drop→resubmit forever."""
-        queue_dir = tmp_path / "queue"
-        paths = ensure_queue_dirs(queue_dir)
         fake = {"now": 1_000_000.0}
-        executor = self._executor(queue_dir, fake)
-        cid = "run0-cell"
-        state = _CellState(task={"kind": "flow", "cell": cid})
-        state.attempt = executor._hard_cap
-        outcomes: dict = {}
-        counters = {"cells_lost": 0}
+        executor, paths, ledger, cid = self._ledger(tmp_path / "queue", fake)
+        ledger.cells[cid].attempt = ledger.hard_cap
         # No task/claim/result file: the cell is lost and would resubmit.
-        executor._recover_lost_cells(paths, [cid], {cid: state}, outcomes,
-                                     counters)
-        assert counters["cells_lost"] == 1
-        assert state.failed
-        assert outcomes[cid]["quarantine_reason"] == "runaway"
+        (paths.tasks / f"{cid}.json").unlink()
+        executor._requeue_dead_cells(paths, ledger)
+        assert ledger.counters["cells_lost"] == 1
+        assert ledger.cells[cid].status == "failed"
+        assert ledger.cells[cid].outcome["quarantine_reason"] == "runaway"
         assert not (paths.tasks / f"{cid}.json").exists()
 
     def test_corrupt_result_retries_with_backoff(self, tmp_path):
         """Regression: a corrupt result used to resubmit immediately —
         persistent corruption hot-looped at the poll interval and never
         reached the hard-cap check."""
-        queue_dir = tmp_path / "queue"
-        paths = ensure_queue_dirs(queue_dir)
         fake = {"now": 1_000_000.0}
-        executor = QueueExecutor(
-            queue_dir, lease_timeout=30.0,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.5),
-            clock=lambda: fake["now"],
-        )
-        cid = "run0-cell"
-        state = _CellState(task={"kind": "flow", "cell": cid})
+        executor, paths, ledger, cid = self._ledger(
+            tmp_path / "queue", fake, max_attempts=3, backoff_base=0.5)
+        (paths.tasks / f"{cid}.json").unlink()  # claimed, then uploaded:
         (paths.results / f"{cid}.json").write_text("{not json")
-        counters = {"corrupt_results": 0}
-        executor._drop_corrupt_result(paths, cid, state, counters)
-        assert counters["corrupt_results"] == 1
+        assert executor._consume_result(paths, ledger, cid)
+        assert ledger.counters["corrupt_results"] == 1
         # In backoff, not resubmitted yet; served once the delay elapses.
-        assert state.resubmit_at == fake["now"] + 0.5
+        cell = ledger.cells[cid]
+        assert (cell.status, cell.resubmit_at) == ("backoff", fake["now"] + 0.5)
+        assert not (paths.results / f"{cid}.json").exists()
         assert not (paths.tasks / f"{cid}.json").exists()
         fake["now"] += 0.5
-        executor._serve_backoffs(paths, [cid], {cid: state}, {})
-        assert state.attempt == 2
+        ledger.serve_backoffs(fake["now"])
+        assert cell.attempt == 2
         assert (paths.tasks / f"{cid}.json").exists()
 
     def test_corrupt_every_attempt_degrades_to_partial(self, serial_sweep,
@@ -551,11 +541,12 @@ class TestRunawayHardCap:
         failed = result.failed_cells[0]
         assert (failed["fsm"], failed["structure"]) == ("dk512", "PST")
         assert failed["errors"][0]["type"] == "QueueRunawayError"
-        assert failed["attempts"] == executor._hard_cap + 1
+        hard_cap = executor.retry.max_attempts * HARD_CAP_FACTOR
+        assert failed["attempts"] == hard_cap + 1
         quarantine = Path(failed["quarantined"])
         assert json.loads(quarantine.read_text())["reason"] == "runaway"
         metadata = result.to_dict()["executor"]
-        assert metadata["corrupt_results"] >= executor._hard_cap
+        assert metadata["corrupt_results"] >= hard_cap
         # Every healthy cell still merged bit-identically to serial.
         assert {r.fsm for r in result.results} == {"ex4"}
         report = fsck_queue(queue_dir, lease_timeout=60.0)

@@ -41,7 +41,7 @@ from repro.flow import (
     run_worker,
     set_active_plan,
 )
-from repro.flow.backends.queue import payload_digest
+from repro.flow.ledger import payload_digest
 from repro.flow.net import NET_SCHEMA
 from repro.flow.pipeline import stage_keys
 from repro.flow.sweep import leader_first
@@ -873,7 +873,7 @@ class TestWorkerLifecycle:
                             poll_interval=0.02, max_idle=60.0, max_cells=2)
         assert capped.stopped_by == "max-cells" and capped.cells == 2
         finisher = run_worker(queue_dir=queue_dir, worker_id="finisher",
-                              poll_interval=0.02, max_idle=60.0, once=True)
+                              poll_interval=0.02, max_idle=60.0, drain=True)
         client.join(timeout=120)
         assert box["result"].status == "complete"
         assert capped.cells + finisher.cells == len(Sweep(
